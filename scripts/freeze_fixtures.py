@@ -8,6 +8,8 @@ change to the law deciders, the subset algebra, or the canonical form.
 """
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import sys
 import time
@@ -15,8 +17,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import gag.theorems as theorems
 from gag.fixtures import paper_example
-from gag.model import GammaGroupoid
+from gag.model import GammaGroupoid, all_models
 from gag.search import SearchSpec, enumerate_models, naive_enumerate
 from gag.theorems import TheoremId, run_check, run_suite, suite_to_json_obj
 
@@ -108,6 +111,55 @@ def freeze_gap_hunts(out: Path) -> None:
     print(f"wrote {out}")
 
 
+@contextlib.contextmanager
+def guards_open():
+    """Run the suite with every guard forced open: `_guard` never skips
+    and `axiom_profile` reports the left invertive and ag-star-star laws
+    as holding, so every check reaches its fail paths on any table."""
+    real_guard, real_profile = theorems._guard, theorems.axiom_profile
+    theorems._guard = lambda ctx, need_intra: None
+    theorems.axiom_profile = lambda g: dataclasses.replace(
+        real_profile(g), left_invertive=True, ag_star_star=True
+    )
+    theorems._ctx.cache_clear()
+    try:
+        yield
+    finally:
+        theorems._guard, theorems.axiom_profile = real_guard, real_profile
+        theorems._ctx.cache_clear()
+
+
+def freeze_guard_open_suite(out: Path) -> None:
+    """Archive the guard-open suite on the lexicographically first
+    order <= 3, m = 1 tables that reach each fail condition."""
+    t0 = time.time()
+    reached: set[str] = set()
+    models = []
+    with guards_open():
+        for n in (1, 2, 3):
+            for g in all_models(n, 1):
+                reports = run_suite(g)
+                new = {r.counterexample.condition for r in reports if r.status == "fail"}
+                if new - reached:
+                    reached |= new
+                    models.append(
+                        {"order": n, "gammas": 1, "table": list(g.table),
+                         "suite": suite_to_json_obj(g, reports)}
+                    )
+    unreached = sorted(set(theorems._REVALIDATORS) - reached)
+    doc = {
+        "comment": "suite output with every guard forced open (_guard returns None, "
+        "axiom_profile reports left-invertive and ag-star-star) on the "
+        "lexicographically first order <= 3, m = 1 tables that together reach "
+        f"{len(reached)} fail conditions; no order <= 3 table reaches: "
+        + ", ".join(unreached),
+        "models": models,
+    }
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"  {len(reached)} conditions from {len(models)} models ({time.time() - t0:.1f}s)")
+    print(f"wrote {out}")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument(
@@ -117,7 +169,7 @@ def main() -> int:
     )
     ap.add_argument(
         "--only",
-        choices=("counts", "suite", "hunts"),
+        choices=("counts", "suite", "hunts", "guard-open"),
         help="regenerate a single fixture",
     )
     args = ap.parse_args()
@@ -128,6 +180,8 @@ def main() -> int:
         freeze_m5_suite(args.data_dir / "m5_suite.json")
     if args.only in (None, "hunts"):
         freeze_gap_hunts(args.data_dir / "gap_hunts.json")
+    if args.only in (None, "guard-open"):
+        freeze_guard_open_suite(args.data_dir / "guard_open_suite.json")
     return 0
 
 

@@ -1,5 +1,6 @@
 """Theorem suite: statuses, guards, counterexample revalidation."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -16,7 +17,8 @@ from gag import (
     suite_exit_code,
     suite_to_json_obj,
 )
-from gag.theorems import model_hash
+from gag import theorems
+from gag.theorems import Counterexample, model_hash
 
 # Left invertive and strong, but not intra-regular; elements 1 and 2
 # have no certificate.  Smallest model exhibiting converse failures.
@@ -197,3 +199,33 @@ def test_instances_counted(m5):
     # JI quantifies its hypothesis over all 5 elements twice over.
     r = run_check(m5, TheoremId.JI)
     assert r.instances == 10
+
+
+@pytest.fixture
+def guards_open(monkeypatch):
+    """Every guard forced open, as in scripts/freeze_fixtures.py."""
+    real_profile = theorems.axiom_profile
+    monkeypatch.setattr(theorems, "_guard", lambda ctx, need_intra: None)
+    monkeypatch.setattr(
+        theorems, "axiom_profile",
+        lambda g: dataclasses.replace(real_profile(g), left_invertive=True, ag_star_star=True),
+    )
+    theorems._ctx.cache_clear()
+    yield
+    theorems._ctx.cache_clear()
+
+
+def _from_json(cx):
+    return Counterexample(cx["condition"], tuple(cx["data"].items()))
+
+
+def test_guard_open_suite_matches_frozen_fixture(guards_open):
+    # The only fixture that reaches most fail paths: every check runs
+    # on tables outside its guard.
+    for entry in load_data("guard_open_suite.json")["models"]:
+        g = GammaGroupoid(entry["order"], entry["gammas"], tuple(entry["table"]))
+        got = suite_to_json_obj(g, run_suite(g))
+        assert json.dumps(got, indent=2) == json.dumps(entry["suite"], indent=2)
+        for r in got["reports"]:
+            if "counterexample" in r:
+                assert revalidate_counterexample(g, _from_json(r["counterexample"])), r
