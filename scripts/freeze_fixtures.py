@@ -146,7 +146,7 @@ def freeze_guard_open_suite(out: Path) -> None:
                         {"order": n, "gammas": 1, "table": list(g.table),
                          "suite": suite_to_json_obj(g, reports)}
                     )
-    unreached = sorted(set(theorems._REVALIDATORS) - reached)
+    unreached = sorted(set(theorems._CONDITIONS) - reached)
     doc = {
         "comment": "suite output with every guard forced open (_guard returns None, "
         "axiom_profile reports left-invertive and ag-star-star) on the "

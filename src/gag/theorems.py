@@ -1,24 +1,36 @@
 """Executable structure theorems over a single finite model.
 
-Each check sweeps one universally quantified statement about ideal-like
-subsets (or elements) of a model and returns a TheoremReport.  Guards
-mirror the statements' hypotheses exactly: a model that is not left
-invertive, or misses the ag-star-star law, or (where required) is not
-intra-regular, yields skipped, never pass.  Equivalence statements are
-split into tagged directions so a failing converse is reported as a
+Each of the 31 checks is one entry of the table `_CHECKS`: a guard (does
+the check need intra-regularity), and stages.  A stage is a domain of
+witnesses, swept in a fixed order, and clauses tried on each witness in
+turn; a clause returns None or the data its failure adds to the witness,
+and the first failure is the check's counterexample.  A clause may carry
+a premise, a statement that must hold over its whole domain before the
+clause is tried; equivalences between such statements are split into
+tagged directions that way, so a failing converse is reported as a
 finding rather than an error.
 
+Guards mirror the statements' hypotheses exactly: a model that is not
+left invertive, or misses the ag-star-star law, or (where required) is
+not intra-regular, yields skipped, never pass.
+
 Every fail report carries a Counterexample whose `condition` names the
-violated clause; `revalidate_counterexample` re-runs that clause from
-scratch against the model and must reproduce the violation bit for bit.
+violated clause.  `revalidate_counterexample` finds that clause in the
+same table and, on a fresh context (not the per-model cache), checks the
+guard, rebuilds the witness from the recorded data, checks that it lies
+in the clause's domain by the defining predicates (`is_two_sided_ideal`,
+...), never the cached ideal families, checks the premise and runs the
+clause again.  It returns True only if every recorded field, witness and
+computed alike, comes back equal.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -26,8 +38,8 @@ from . import ideals
 from .fileformat import serialize_model
 from .ideals import IdealKind, ideal_family
 from .model import GammaGroupoid, axiom_profile
-from .regularity import intra_witness, is_intra_regular
-from .subsets import Subset, all_nonempty_subsets, square, subset_product
+from .regularity import is_intra_regular
+from .subsets import Subset, all_nonempty_subsets, subset_product
 
 PASS = "pass"
 FAIL = "fail"
@@ -140,12 +152,27 @@ class _Ctx:
         self.s = Subset.full(g.n)
         self.profile = axiom_profile(g)
         self.intra = is_intra_regular(g) if self.profile.left_invertive else None
+        self._memo: dict[Any, Any] = {}
 
     def prod(self, a: Subset, b: Subset) -> Subset:
         return subset_product(self.g, a, b)
 
-    def family(self, kind: IdealKind) -> tuple[Subset, ...]:
-        return ideal_family(self.g, kind)
+    def once(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """fn(self, *args), computed at most once per context."""
+        key = (fn, args)
+        if key not in self._memo:
+            self._memo[key] = fn(self, *args)
+        return self._memo[key]
+
+    def family(self, kind) -> tuple[Subset, ...]:
+        """Members of an ideal kind (or its value), canonical order;
+        "fixed" names the subsets with A*S = S*A = A."""
+        if kind == "fixed":
+            return self.once(_fixed_family)
+        return ideal_family(self.g, IdealKind(kind))
+
+    def has(self, kind, a: Subset) -> bool:
+        return a in self.once(_family_set, kind)
 
     def subsets(self) -> list[Subset]:
         return all_nonempty_subsets(self.g)
@@ -153,9 +180,13 @@ class _Ctx:
     def intra_holds(self) -> bool:
         return self.intra is not None and self.intra.holds
 
-    def first_offender(self) -> int:
-        assert self.intra is not None
-        return self.intra.offenders[0]
+
+def _fixed_family(c: _Ctx) -> tuple[Subset, ...]:
+    return tuple(a for a in c.subsets() if c.prod(a, c.s) == a and c.prod(c.s, a) == a)
+
+
+def _family_set(c: _Ctx, kind) -> frozenset[Subset]:
+    return frozenset(c.family(kind))
 
 
 @lru_cache(maxsize=8)
@@ -173,1271 +204,574 @@ def _guard(ctx: _Ctx, need_intra: bool) -> Optional[str]:
     return None
 
 
-def _skipped(tid: TheoremId, reason: str) -> TheoremReport:
-    return TheoremReport(tid, SKIPPED, reason=reason)
+# --- the table's building blocks -------------------------------------------
+
+# A test maps (ctx, *witness) to None, or to the (name, value) pairs its
+# failure adds to the witness's own fields (() when it adds none).
+_Test = Callable[..., Optional[tuple[tuple[str, Any], ...]]]
 
 
-def _fail(tid: TheoremId, condition: str, data: Sequence[tuple[str, Any]],
-          instances: int, details: Sequence[tuple[str, Any]] = ()) -> TheoremReport:
-    return TheoremReport(
-        tid, FAIL, counterexample=Counterexample(condition, tuple(data)),
-        instances=instances, details=tuple(details),
+@dataclass(frozen=True, eq=False)
+class _Domain:
+    """Witnesses, named field by field: `sweep` lists them in report
+    order; `member` decides one by the defining predicates."""
+
+    names: tuple[str, ...]
+    sweep: Callable[[_Ctx], Iterable[tuple]]
+    member: Callable[..., bool]
+
+
+# A statement holds when its test finds nothing over its domain.
+_Statement = tuple[_Domain, _Test]
+
+
+@dataclass(frozen=True)
+class _Clause:
+    condition: str
+    test: _Test
+    premise: Optional[_Statement] = None
+
+
+@dataclass(frozen=True)
+class _Check:
+    need_intra: bool
+    stages: tuple[tuple[_Domain, tuple[_Clause, ...]], ...]
+    instances: Callable[[_Ctx, Optional[Counterexample]], int]
+    details: Callable[[_Ctx, Optional[Counterexample]], tuple] = lambda c, cx: ()
+    vacuous: Callable[[_Ctx], Optional[tuple[str, int]]] = lambda c: None
+
+
+def _over(names: tuple[str, ...], members: Callable[[_Ctx], Iterable],
+          pred: Callable[[GammaGroupoid, Any], bool]) -> _Domain:
+    """Every tuple of len(names) members, in product order."""
+    return _Domain(
+        names,
+        lambda c: itertools.product(members(c), repeat=len(names)),
+        lambda c, *w: all(pred(c.g, x) for x in w),
     )
 
 
-def _pass(tid: TheoremId, instances: int,
-          details: Sequence[tuple[str, Any]] = ()) -> TheoremReport:
-    return TheoremReport(tid, PASS, instances=instances, details=tuple(details))
+def _family(kind: IdealKind, *names: str) -> _Domain:
+    return _over(names, lambda c: c.family(kind), ideals.kind_predicate(kind))
 
 
-# --- revalidation registry -------------------------------------------------
+def _is_element(g: GammaGroupoid, x: Any) -> bool:
+    return isinstance(x, int) and 0 <= x < g.n
 
-_REVALIDATORS: dict[str, Callable[[GammaGroupoid, dict[str, Any]], bool]] = {}
 
+def _elements(name: str) -> _Domain:
+    return _over((name,), lambda c: range(c.g.n), _is_element)
 
-def _revalidator(condition: str):
-    def deco(fn):
-        _REVALIDATORS[condition] = fn
-        return fn
-    return deco
 
+_UNIT = _Domain((), lambda c: [()], lambda c: True)
+_SUBSETS = _over(("A",), lambda c: c.subsets(), lambda g, a: isinstance(a, Subset) and bool(a))
 
-def revalidate_counterexample(g: GammaGroupoid, cx: Counterexample) -> bool:
-    """Re-run the violated clause from scratch; True iff it reproduces."""
-    data = {k: (tuple(v) if isinstance(v, (list, tuple)) else v) for k, v in cx.data}
-    return _REVALIDATORS[cx.condition](g, data)
 
-
-# --- hypothesis-style results ----------------------------------------------
-
-def _sga_all(ctx: _Ctx) -> bool:
-    return all(ctx.prod(ctx.s, Subset.singleton(ctx.g.n, a)) == ctx.s for a in range(ctx.g.n))
-
-
-def _ags_all(ctx: _Ctx) -> bool:
-    return all(ctx.prod(Subset.singleton(ctx.g.n, a), ctx.s) == ctx.s for a in range(ctx.g.n))
-
-
-def _check_ji(ctx: _Ctx) -> TheoremReport:
-    tid = TheoremId.JI
-    reason = _guard(ctx, need_intra=False)
-    if reason:
-        return _skipped(tid, reason)
-    sga, ags = _sga_all(ctx), _ags_all(ctx)
-    if not (sga or ags):
-        return TheoremReport(
-            tid, VACUOUS, instances=2 * ctx.g.n,
-            reason="neither S*{a}=S nor {a}*S=S holds for every a",
-        )
-    hyp = "s-times-a" if sga else "a-times-s"
-    if ctx.intra_holds():
-        return _pass(tid, 2 * ctx.g.n + ctx.g.n, details=(("hypothesis", hyp),))
-    return _fail(
-        tid, "ji:not-intra-regular",
-        (("hypothesis", hyp), ("offender", ctx.first_offender())),
-        2 * ctx.g.n + ctx.g.n,
-    )
-
-
-@_revalidator("ji:not-intra-regular")
-def _rv_ji(g: GammaGroupoid, d: dict) -> bool:
-    ctx = _Ctx(g)
-    hyp_holds = _sga_all(ctx) if d["hypothesis"] == "s-times-a" else _ags_all(ctx)
-    return hyp_holds and intra_witness(g, d["offender"]) is None
-
-
-def _check_ji_cor(ctx: _Ctx) -> TheoremReport:
-    tid = TheoremId.JI_COR
-    reason = _guard(ctx, need_intra=False)
-    if reason:
-        return _skipped(tid, reason)
-    if not _ags_all(ctx):
-        return TheoremReport(
-            tid, VACUOUS, instances=ctx.g.n,
-            reason="{a}*S=S does not hold for every a",
-        )
-    for a in range(ctx.g.n):
-        got = ctx.prod(ctx.s, Subset.singleton(ctx.g.n, a))
-        if got != ctx.s:
-            return _fail(
-                tid, "ji-cor:s-times-a",
-                (("a", a), ("product", _ext(got))), 2 * ctx.g.n,
-            )
-    return _pass(tid, 2 * ctx.g.n)
-
-
-@_revalidator("ji-cor:s-times-a")
-def _rv_ji_cor(g: GammaGroupoid, d: dict) -> bool:
-    ctx = _Ctx(g)
-    got = ctx.prod(ctx.s, Subset.singleton(g.n, d["a"]))
-    return _ags_all(ctx) and got != ctx.s and _ext(got) == d["product"]
-
-
-def _product_identity_check(
-    ctx: _Ctx, tid: TheoremId, kind: IdealKind, condition: str,
-    lhs_of: Callable[[_Ctx, Subset], Subset], intersect_s: bool,
-) -> TheoremReport:
-    reason = _guard(ctx, need_intra=True)
-    if reason:
-        return _skipped(tid, reason)
-    fam = ctx.family(kind)
-    for b in fam:
-        lhs = lhs_of(ctx, b)
-        rhs = (b & ctx.s) if intersect_s else b
-        if lhs != rhs:
-            return _fail(
-                tid, condition,
-                (("B", _ext(b)), ("lhs", _ext(lhs))), len(fam),
-            )
-    return _pass(tid, len(fam))
-
-
-def _bsb(ctx: _Ctx, b: Subset) -> Subset:
-    return ctx.prod(ctx.prod(b, ctx.s), b)
-
-
-def _sbs(ctx: _Ctx, b: Subset) -> Subset:
-    return ctx.prod(ctx.prod(ctx.s, b), ctx.s)
-
-
-def _check_ki(ctx: _Ctx) -> TheoremReport:
-    return _product_identity_check(
-        ctx, TheoremId.KI, IdealKind.GENERALIZED_BI, "ki:product-identity",
-        _bsb, intersect_s=True,
-    )
-
-
-@_revalidator("ki:product-identity")
-def _rv_ki(g: GammaGroupoid, d: dict) -> bool:
-    ctx = _Ctx(g)
-    b = _sub(g, d["B"])
-    lhs = _bsb(ctx, b)
-    return (
-        ideals.is_generalized_bi_ideal(g, b)
-        and lhs != (b & ctx.s)
-        and _ext(lhs) == d["lhs"]
-    )
-
-
-def _check_ki_cor(ctx: _Ctx) -> TheoremReport:
-    # same content as KI since B is a subset of S; kept as its own
-    # report because the restated form (= B) is quoted independently
-    return _product_identity_check(
-        ctx, TheoremId.KI_COR, IdealKind.GENERALIZED_BI, "ki-cor:product-identity",
-        _bsb, intersect_s=False,
-    )
-
-
-@_revalidator("ki-cor:product-identity")
-def _rv_ki_cor(g: GammaGroupoid, d: dict) -> bool:
-    b = _sub(g, d["B"])
-    lhs = _bsb(_Ctx(g), b)
-    return ideals.is_generalized_bi_ideal(g, b) and lhs != b and _ext(lhs) == d["lhs"]
-
-
-def _check_aw(ctx: _Ctx) -> TheoremReport:
-    return _product_identity_check(
-        ctx, TheoremId.AW, IdealKind.INTERIOR, "aw:product-identity",
-        _sbs, intersect_s=True,
-    )
-
-
-@_revalidator("aw:product-identity")
-def _rv_aw(g: GammaGroupoid, d: dict) -> bool:
-    ctx = _Ctx(g)
-    b = _sub(g, d["B"])
-    lhs = _sbs(ctx, b)
-    return ideals.is_interior_ideal(g, b) and lhs != (b & ctx.s) and _ext(lhs) == d["lhs"]
-
-
-def _check_aw_cor(ctx: _Ctx) -> TheoremReport:
-    return _product_identity_check(
-        ctx, TheoremId.AW_COR, IdealKind.INTERIOR, "aw-cor:product-identity",
-        _sbs, intersect_s=False,
-    )
-
-
-@_revalidator("aw-cor:product-identity")
-def _rv_aw_cor(g: GammaGroupoid, d: dict) -> bool:
-    b = _sub(g, d["B"])
-    lhs = _sbs(_Ctx(g), b)
-    return ideals.is_interior_ideal(g, b) and lhs != b and _ext(lhs) == d["lhs"]
-
-
-def _check_jk(ctx: _Ctx) -> TheoremReport:
-    tid = TheoremId.JK
-    reason = _guard(ctx, need_intra=True)
-    if reason:
-        return _skipped(tid, reason)
-    got = ctx.prod(ctx.s, ctx.s)
-    if got != ctx.s:
-        return _fail(tid, "jk:s-times-s", (("product", _ext(got)),), 1)
-    return _pass(tid, 1)
-
-
-@_revalidator("jk:s-times-s")
-def _rv_jk(g: GammaGroupoid, d: dict) -> bool:
-    s = Subset.full(g.n)
-    got = subset_product(g, s, s)
-    return got != s and _ext(got) == d["product"]
-
-
-def _check_lisr(ctx: _Ctx) -> TheoremReport:
-    tid = TheoremId.LISR
-    reason = _guard(ctx, need_intra=True)
-    if reason:
-        return _skipped(tid, reason)
-    subs = ctx.subsets()
-    for a in subs:
-        left = ideals.is_left_ideal(ctx.g, a)
-        right = ideals.is_right_ideal(ctx.g, a)
-        if left != right:
-            return _fail(
-                tid, "lisr:left-right-mismatch",
-                (("A", _ext(a)),
-                 ("direction", "left-not-right" if left else "right-not-left")),
-                len(subs),
-            )
-    return _pass(tid, len(subs))
-
-
-@_revalidator("lisr:left-right-mismatch")
-def _rv_lisr(g: GammaGroupoid, d: dict) -> bool:
-    a = _sub(g, d["A"])
-    left = ideals.is_left_ideal(g, a)
-    right = ideals.is_right_ideal(g, a)
-    if d["direction"] == "left-not-right":
-        return left and not right
-    return right and not left
-
-
-def _check_biiid(ctx: _Ctx) -> TheoremReport:
-    tid = TheoremId.BIIID
-    reason = _guard(ctx, need_intra=True)
-    if reason:
-        return _skipped(tid, reason)
-    subs = ctx.subsets()
-    for a in subs:
-        rhs_prod = _bsb(ctx, a) == a
-        rhs_idem = square(ctx.g, a) == a
-        lhs = ideals.is_generalized_bi_ideal(ctx.g, a)
-        if lhs and not (rhs_prod and rhs_idem):
-            clause = "product-identity" if not rhs_prod else "idempotent"
-            return _fail(
-                tid, "biiid:forward", (("A", _ext(a)), ("clause", clause)), len(subs),
-            )
-        if rhs_prod and rhs_idem and not ideals.is_bi_ideal(ctx.g, a):
-            return _fail(tid, "biiid:converse", (("A", _ext(a)),), len(subs))
-    return _pass(tid, len(subs))
-
-
-@_revalidator("biiid:forward")
-def _rv_biiid_fwd(g: GammaGroupoid, d: dict) -> bool:
-    ctx = _Ctx(g)
-    a = _sub(g, d["A"])
-    if not ideals.is_generalized_bi_ideal(g, a):
-        return False
-    if d["clause"] == "product-identity":
-        return _bsb(ctx, a) != a
-    return square(g, a) != a
-
-
-@_revalidator("biiid:converse")
-def _rv_biiid_conv(g: GammaGroupoid, d: dict) -> bool:
-    ctx = _Ctx(g)
-    a = _sub(g, d["A"])
-    return (
-        _bsb(ctx, a) == a and square(g, a) == a and not ideals.is_bi_ideal(g, a)
-    )
-
-
-def _characterization_check(
-    ctx: _Ctx, tid: TheoremId, prefix: str,
-    lhs_pred: Callable[[GammaGroupoid, Subset], bool],
-    rhs_pred: Callable[[_Ctx, Subset], bool],
-) -> TheoremReport:
-    """lhs(A) <=> rhs(A) over every non-empty subset, direction-tagged."""
-    reason = _guard(ctx, need_intra=True)
-    if reason:
-        return _skipped(tid, reason)
-    subs = ctx.subsets()
-    for a in subs:
-        lhs, rhs = lhs_pred(ctx.g, a), rhs_pred(ctx, a)
-        if lhs and not rhs:
-            return _fail(tid, f"{prefix}:forward", (("A", _ext(a)),), len(subs))
-        if rhs and not lhs:
-            return _fail(tid, f"{prefix}:converse", (("A", _ext(a)),), len(subs))
-    return _pass(tid, len(subs))
-
-
-def _one_two_rhs(ctx: _Ctx, a: Subset) -> bool:
-    sq = square(ctx.g, a)
-    return ctx.prod(ctx.prod(a, ctx.s), sq) == a and sq == a
-
-
-def _interior_rhs(ctx: _Ctx, a: Subset) -> bool:
-    return _sbs(ctx, a) == a
-
-
-def _quasi_rhs(ctx: _Ctx, a: Subset) -> bool:
-    return (ctx.prod(ctx.s, a) & ctx.prod(a, ctx.s)) == a
-
-
-def _check_t_one_two(ctx: _Ctx) -> TheoremReport:
-    return _characterization_check(
-        ctx, TheoremId.T_ONE_TWO, "t-one-two", ideals.is_one_two_ideal, _one_two_rhs,
-    )
-
-
-@_revalidator("t-one-two:forward")
-def _rv_t12f(g: GammaGroupoid, d: dict) -> bool:
-    a = _sub(g, d["A"])
-    return ideals.is_one_two_ideal(g, a) and not _one_two_rhs(_Ctx(g), a)
-
-
-@_revalidator("t-one-two:converse")
-def _rv_t12c(g: GammaGroupoid, d: dict) -> bool:
-    a = _sub(g, d["A"])
-    return _one_two_rhs(_Ctx(g), a) and not ideals.is_one_two_ideal(g, a)
-
-
-def _check_t_interior(ctx: _Ctx) -> TheoremReport:
-    return _characterization_check(
-        ctx, TheoremId.T_INTERIOR, "t-interior", ideals.is_interior_ideal, _interior_rhs,
-    )
-
-
-@_revalidator("t-interior:forward")
-def _rv_tif(g: GammaGroupoid, d: dict) -> bool:
-    a = _sub(g, d["A"])
-    return ideals.is_interior_ideal(g, a) and not _interior_rhs(_Ctx(g), a)
-
-
-@_revalidator("t-interior:converse")
-def _rv_tic(g: GammaGroupoid, d: dict) -> bool:
-    a = _sub(g, d["A"])
-    return _interior_rhs(_Ctx(g), a) and not ideals.is_interior_ideal(g, a)
-
-
-def _check_t_quasi(ctx: _Ctx) -> TheoremReport:
-    return _characterization_check(
-        ctx, TheoremId.T_QUASI, "t-quasi", ideals.is_quasi_ideal, _quasi_rhs,
-    )
-
-
-@_revalidator("t-quasi:forward")
-def _rv_tqf(g: GammaGroupoid, d: dict) -> bool:
-    a = _sub(g, d["A"])
-    return ideals.is_quasi_ideal(g, a) and not _quasi_rhs(_Ctx(g), a)
-
-
-@_revalidator("t-quasi:converse")
-def _rv_tqc(g: GammaGroupoid, d: dict) -> bool:
-    a = _sub(g, d["A"])
-    return _quasi_rhs(_Ctx(g), a) and not ideals.is_quasi_ideal(g, a)
-
-
-def _kind_equivalence_check(
-    ctx: _Ctx, tid: TheoremId, prefix: str, kind_a: IdealKind, kind_b: IdealKind,
-) -> TheoremReport:
-    reason = _guard(ctx, need_intra=True)
-    if reason:
-        return _skipped(tid, reason)
-    pa, pb = ideals.kind_predicate(kind_a), ideals.kind_predicate(kind_b)
-    subs = ctx.subsets()
-    for a in subs:
-        va, vb = pa(ctx.g, a), pb(ctx.g, a)
-        if va and not vb:
-            return _fail(tid, f"{prefix}:forward", (("A", _ext(a)),), len(subs))
-        if vb and not va:
-            return _fail(tid, f"{prefix}:converse", (("A", _ext(a)),), len(subs))
-    return _pass(tid, len(subs))
-
-
-def _check_t12(ctx: _Ctx) -> TheoremReport:
-    return _kind_equivalence_check(
-        ctx, TheoremId.T12, "t12", IdealKind.ONE_TWO, IdealKind.TWO_SIDED,
-    )
-
-
-def _check_plo(ctx: _Ctx) -> TheoremReport:
-    return _kind_equivalence_check(
-        ctx, TheoremId.PLO, "plo", IdealKind.ONE_TWO, IdealKind.INTERIOR,
-    )
-
-
-def _check_bint(ctx: _Ctx) -> TheoremReport:
-    return _kind_equivalence_check(
-        ctx, TheoremId.BINT, "bint", IdealKind.BI, IdealKind.INTERIOR,
-    )
-
-
-def _check_quo(ctx: _Ctx) -> TheoremReport:
-    return _kind_equivalence_check(
-        ctx, TheoremId.QUO, "quo", IdealKind.ONE_TWO, IdealKind.QUASI,
-    )
-
-
-def _make_kind_equivalence_revalidators():
-    pairs = {
-        "t12": (IdealKind.ONE_TWO, IdealKind.TWO_SIDED),
-        "plo": (IdealKind.ONE_TWO, IdealKind.INTERIOR),
-        "bint": (IdealKind.BI, IdealKind.INTERIOR),
-        "quo": (IdealKind.ONE_TWO, IdealKind.QUASI),
-    }
-    for prefix, (ka, kb) in pairs.items():
-        pa, pb = ideals.kind_predicate(ka), ideals.kind_predicate(kb)
-
-        def fwd(g, d, pa=pa, pb=pb):
-            a = _sub(g, d["A"])
-            return pa(g, a) and not pb(g, a)
-
-        def conv(g, d, pa=pa, pb=pb):
-            a = _sub(g, d["A"])
-            return pb(g, a) and not pa(g, a)
-
-        _REVALIDATORS[f"{prefix}:forward"] = fwd
-        _REVALIDATORS[f"{prefix}:converse"] = conv
-
-
-_make_kind_equivalence_revalidators()
-
-
-def _fixed_pred(ctx: _Ctx, a: Subset) -> bool:
-    return ctx.prod(a, ctx.s) == a and ctx.prod(ctx.s, a) == a
-
-
-def _check_li(ctx: _Ctx) -> TheoremReport:
-    tid = TheoremId.LI
-    reason = _guard(ctx, need_intra=True)
-    if reason:
-        return _skipped(tid, reason)
-    subs = ctx.subsets()
-    for a in subs:
-        lhs = ideals.is_two_sided_ideal(ctx.g, a)
-        rhs = _fixed_pred(ctx, a)
-        if lhs and not rhs:
-            return _fail(tid, "li:forward", (("A", _ext(a)),), len(subs))
-        if rhs and not lhs:
-            return _fail(tid, "li:converse", (("A", _ext(a)),), len(subs))
-    return _pass(tid, len(subs))
-
-
-@_revalidator("li:forward")
-def _rv_li_f(g: GammaGroupoid, d: dict) -> bool:
-    a = _sub(g, d["A"])
-    return ideals.is_two_sided_ideal(g, a) and not _fixed_pred(_Ctx(g), a)
-
-
-@_revalidator("li:converse")
-def _rv_li_c(g: GammaGroupoid, d: dict) -> bool:
-    a = _sub(g, d["A"])
-    return _fixed_pred(_Ctx(g), a) and not ideals.is_two_sided_ideal(g, a)
-
-
-# names and predicates for the nine-way family equivalence, in its
-# stated order
-def _equalient_members(ctx: _Ctx) -> list[tuple[str, Callable[[Subset], bool]]]:
-    g = ctx.g
-    return [
-        ("left", lambda a: ideals.is_left_ideal(g, a)),
-        ("right", lambda a: ideals.is_right_ideal(g, a)),
-        ("two-sided", lambda a: ideals.is_two_sided_ideal(g, a)),
-        ("fixed", lambda a: _fixed_pred(ctx, a)),
-        ("quasi", lambda a: ideals.is_quasi_ideal(g, a)),
-        ("one-two", lambda a: ideals.is_one_two_ideal(g, a)),
-        ("gbi", lambda a: ideals.is_generalized_bi_ideal(g, a)),
-        ("bi", lambda a: ideals.is_bi_ideal(g, a)),
-        ("interior", lambda a: ideals.is_interior_ideal(g, a)),
-    ]
-
-
-def _check_equalient(ctx: _Ctx) -> TheoremReport:
-    tid = TheoremId.EQUALIENT
-    reason = _guard(ctx, need_intra=True)
-    if reason:
-        return _skipped(tid, reason)
-    members = _equalient_members(ctx)
-    subs = ctx.subsets()
-    verdicts = [[pred(a) for a in subs] for _, pred in members]
-    instances = len(members) * len(subs)
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if verdicts[i] != verdicts[j]:
-                idx = next(k for k in range(len(subs)) if verdicts[i][k] != verdicts[j][k])
-                in_first = verdicts[i][idx]
-                return _fail(
-                    tid, "equalient:family-mismatch",
-                    (("kind-a", members[i][0]), ("kind-b", members[j][0]),
-                     ("A", _ext(subs[idx])),
-                     ("in", members[i][0] if in_first else members[j][0])),
-                    instances,
-                )
-    return _pass(tid, instances)
-
-
-@_revalidator("equalient:family-mismatch")
-def _rv_equalient(g: GammaGroupoid, d: dict) -> bool:
-    ctx = _Ctx(g)
-    preds = dict(_equalient_members(ctx))
-    a = _sub(g, d["A"])
-    va, vb = preds[d["kind-a"]](a), preds[d["kind-b"]](a)
-    return va != vb and (d["in"] == (d["kind-a"] if va else d["kind-b"]))
-
-
-def _all_idempotent(ctx: _Ctx, kind: IdealKind) -> Optional[Subset]:
-    """First non-idempotent member of the family, None if all idempotent."""
-    for a in ctx.family(kind):
-        if square(ctx.g, a) != a:
-            return a
+def _sweep(c: _Ctx, domain: _Domain, tests: tuple[_Test, ...]):
+    """First (test index, witness, added data) over the domain, trying
+    the tests in order at each witness; None when all pass."""
+    for w in domain.sweep(c):
+        for i, test in enumerate(tests):
+            extra = test(c, *w)
+            if extra is not None:
+                return i, w, extra
     return None
 
 
-def _biconditional_intra_check(
-    ctx: _Ctx, tid: TheoremId, prefix: str,
-    rhs_offender: Callable[[_Ctx], Optional[tuple[tuple[str, Any], ...]]],
-    instances: int,
-) -> TheoremReport:
-    """intra-regular <=> rhs, where rhs_offender returns witness data for
-    a failing rhs instance (None when rhs holds)."""
-    reason = _guard(ctx, need_intra=False)
-    if reason:
-        return _skipped(tid, reason)
-    lhs = ctx.intra_holds()
-    offender = rhs_offender(ctx)
-    if lhs and offender is not None:
-        return _fail(tid, f"{prefix}:forward", offender, instances)
-    if offender is None and not lhs:
-        return _fail(
-            tid, f"{prefix}:converse",
-            (("offender", ctx.first_offender()),), instances,
-        )
-    return _pass(tid, instances)
+def _holds(c: _Ctx, statement: _Statement) -> bool:
+    domain, test = statement
+    return c.once(_sweep, domain, (test,)) is None
 
 
-def _check_ii(ctx: _Ctx) -> TheoremReport:
-    def offender(c: _Ctx):
-        bad = _all_idempotent(c, IdealKind.BI)
-        if bad is None:
-            return None
-        return (("B", _ext(bad)), ("square", _ext(square(c.g, bad))))
+def _data(domain: _Domain, w: tuple, extra: tuple) -> tuple[tuple[str, Any], ...]:
+    fields = (_ext(v) if isinstance(v, Subset) else v for v in w)
+    return tuple(zip(domain.names, fields)) + extra
 
-    return _biconditional_intra_check(
-        ctx, TheoremId.II, "ii", offender,
-        len(ctx.family(IdealKind.BI)) + ctx.g.n if ctx.profile.left_invertive and ctx.profile.ag_star_star else 0,
+
+def _differs(name: str, got: Subset, want: Subset):
+    """((name, got),) when got != want."""
+    return None if got == want else ((name, _ext(got)),)
+
+
+def _iff(prefix: str, kind, rhs: Callable[[_Ctx, Subset], bool]) -> _Check:
+    """A in family(kind) <=> rhs(A) over every non-empty subset, both
+    directions tried at each subset before the next."""
+    forward = _Clause(f"{prefix}:forward",
+                      lambda c, a: () if c.has(kind, a) and not rhs(c, a) else None)
+    converse = _Clause(f"{prefix}:converse",
+                       lambda c, a: () if not c.has(kind, a) and rhs(c, a) else None)
+    return _Check(True, ((_SUBSETS, (forward, converse)),), _n_subsets)
+
+
+def _implications(*rules: tuple[_Statement, _Statement, str]):
+    """One stage per (premise, conclusion, condition): once the premise
+    holds, the conclusion's first failure is the counterexample."""
+    return tuple(
+        (domain, (_Clause(condition, test, premise),))
+        for premise, (domain, test), condition in rules
     )
 
 
-@_revalidator("ii:forward")
-def _rv_ii_f(g: GammaGroupoid, d: dict) -> bool:
-    b = _sub(g, d["B"])
-    sq = square(g, b)
-    return (
-        is_intra_regular(g).holds
-        and ideals.is_bi_ideal(g, b)
-        and sq != b
-        and _ext(sq) == d["square"]
-    )
+def _has(kind) -> Callable[[_Ctx, Subset], bool]:
+    return lambda c, a: c.has(kind, a)
 
 
-@_revalidator("ii:converse")
-def _rv_ii_c(g: GammaGroupoid, d: dict) -> bool:
-    ctx = _Ctx(g)
-    return (
-        _all_idempotent(ctx, IdealKind.BI) is None
-        and intra_witness(g, d["offender"]) is None
-    )
+def _n_subsets(c: _Ctx, cx) -> int:
+    return len(c.subsets())
 
 
-def _check_idl(ctx: _Ctx) -> TheoremReport:
-    tid = TheoremId.IDL
-    reason = _guard(ctx, need_intra=True)
-    if reason:
-        return _skipped(tid, reason)
-    fam = ctx.family(IdealKind.TWO_SIDED)
-    for i in fam:
-        for j in fam:
-            k = i & j
-            if not k:
-                return _fail(
-                    tid, "idl:empty-intersection",
-                    (("I", _ext(i)), ("J", _ext(j))), len(fam) ** 2,
-                )
-            if not ideals.is_two_sided_ideal(ctx.g, k):
-                return _fail(
-                    tid, "idl:not-ideal",
-                    (("I", _ext(i)), ("J", _ext(j)), ("K", _ext(k))), len(fam) ** 2,
-                )
-    return _pass(tid, len(fam) ** 2)
+def _family_plus_n(kind: IdealKind):
+    return lambda c, cx: len(c.family(kind)) + c.g.n
 
 
-@_revalidator("idl:empty-intersection")
-def _rv_idl_empty(g: GammaGroupoid, d: dict) -> bool:
-    i, j = _sub(g, d["I"]), _sub(g, d["J"])
-    return (
-        ideals.is_two_sided_ideal(g, i)
-        and ideals.is_two_sided_ideal(g, j)
-        and not (i & j)
-    )
+# --- the statements ----------------------------------------------------------
+
+def _single(c: _Ctx, x: int) -> Subset:
+    return Subset.singleton(c.g.n, x)
 
 
-@_revalidator("idl:not-ideal")
-def _rv_idl_not(g: GammaGroupoid, d: dict) -> bool:
-    i, j = _sub(g, d["I"]), _sub(g, d["J"])
-    k = i & j
-    return (
-        ideals.is_two_sided_ideal(g, i)
-        and ideals.is_two_sided_ideal(g, j)
-        and bool(k)
-        and _ext(k) == d["K"]
-        and not ideals.is_two_sided_ideal(g, k)
-    )
+def _sga(c: _Ctx) -> bool:
+    return all(c.prod(c.s, _single(c, a)) == c.s for a in range(c.g.n))
 
 
-def _check_ij(ctx: _Ctx) -> TheoremReport:
-    tid = TheoremId.IJ
-    reason = _guard(ctx, need_intra=True)
-    if reason:
-        return _skipped(tid, reason)
-    fam = ctx.family(IdealKind.TWO_SIDED)
-    for i in fam:
-        for j in fam:
-            prod = ctx.prod(i, j)
-            inter = i & j
-            if prod != inter:
-                return _fail(
-                    tid, "ij:product-intersection",
-                    (("I", _ext(i)), ("J", _ext(j)),
-                     ("product", _ext(prod)), ("intersection", _ext(inter))),
-                    len(fam) ** 2,
-                )
-    return _pass(tid, len(fam) ** 2)
+def _ags(c: _Ctx) -> bool:
+    return all(c.prod(_single(c, a), c.s) == c.s for a in range(c.g.n))
 
 
-@_revalidator("ij:product-intersection")
-def _rv_ij(g: GammaGroupoid, d: dict) -> bool:
-    i, j = _sub(g, d["I"]), _sub(g, d["J"])
-    prod = subset_product(g, i, j)
-    inter = i & j
-    return (
-        ideals.is_two_sided_ideal(g, i)
-        and ideals.is_two_sided_ideal(g, j)
-        and prod != inter
-        and _ext(prod) == d["product"]
-        and _ext(inter) == d["intersection"]
-    )
+_HYPOTHESES = {"s-times-a": _sga, "a-times-s": _ags}
 
 
-def _check_iffff(ctx: _Ctx) -> TheoremReport:
-    def offender(c: _Ctx):
-        bad = _all_idempotent(c, IdealKind.LEFT)
-        if bad is None:
-            return None
-        return (("A", _ext(bad)), ("square", _ext(square(c.g, bad))))
-
-    return _biconditional_intra_check(
-        ctx, TheoremId.IFFFF, "iffff", offender,
-        len(ctx.family(IdealKind.LEFT)) + ctx.g.n if ctx.profile.left_invertive and ctx.profile.ag_star_star else 0,
-    )
+def _hypothesis(c: _Ctx) -> str:
+    return "s-times-a" if c.once(_sga) else "a-times-s"
 
 
-@_revalidator("iffff:forward")
-def _rv_iffff_f(g: GammaGroupoid, d: dict) -> bool:
-    a = _sub(g, d["A"])
-    sq = square(g, a)
-    return (
-        is_intra_regular(g).holds
-        and ideals.is_left_ideal(g, a)
-        and sq != a
-        and _ext(sq) == d["square"]
-    )
+def _not_intra(c: _Ctx, x: int):
+    return () if x in c.intra.offenders else None
 
 
-@_revalidator("iffff:converse")
-def _rv_iffff_c(g: GammaGroupoid, d: dict) -> bool:
-    ctx = _Ctx(g)
-    return (
-        _all_idempotent(ctx, IdealKind.LEFT) is None
-        and intra_witness(g, d["offender"]) is None
-    )
+_INTRA: _Statement = (_elements("offender"), _not_intra)
 
 
-def _sla2_rhs_offender(ctx: _Ctx):
-    for a in ctx.family(IdealKind.LEFT):
-        got = square(ctx.g, ctx.prod(ctx.s, a))
-        if got != a:
-            return (("A", _ext(a)), ("got", _ext(got)))
+def _bsb(c: _Ctx, b: Subset) -> Subset:
+    return c.prod(c.prod(b, c.s), b)
+
+
+def _sbs(c: _Ctx, b: Subset) -> Subset:
+    return c.prod(c.prod(c.s, b), c.s)
+
+
+def _one_two_rhs(c: _Ctx, a: Subset) -> bool:
+    sq = c.prod(a, a)
+    return c.prod(c.prod(a, c.s), sq) == a and sq == a
+
+
+def _interior_rhs(c: _Ctx, a: Subset) -> bool:
+    return _sbs(c, a) == a
+
+
+def _quasi_rhs(c: _Ctx, a: Subset) -> bool:
+    return (c.prod(c.s, a) & c.prod(a, c.s)) == a
+
+
+def _lisr(c: _Ctx, a: Subset):
+    left, right = c.has(IdealKind.LEFT, a), c.has(IdealKind.RIGHT, a)
+    if left == right:
+        return None
+    return (("direction", "left-not-right" if left else "right-not-left"),)
+
+
+def _biiid_forward(c: _Ctx, a: Subset):
+    if not c.has(IdealKind.GENERALIZED_BI, a):
+        return None
+    if _bsb(c, a) != a:
+        return (("clause", "product-identity"),)
+    return None if c.prod(a, a) == a else (("clause", "idempotent"),)
+
+
+def _biiid_converse(c: _Ctx, a: Subset):
+    fixed = _bsb(c, a) == a and c.prod(a, a) == a
+    return () if fixed and not c.has(IdealKind.BI, a) else None
+
+
+# names and families of the nine-way equivalence, in its stated order
+_EQUALIENT = ("left", "right", "two-sided", "fixed", "quasi", "one-two", "gbi", "bi", "interior")
+
+_KIND_PAIRS = _Domain(
+    ("kind-a", "kind-b"),
+    lambda c: itertools.combinations(_EQUALIENT, 2),
+    lambda c, a, b: a in _EQUALIENT and b in _EQUALIENT[_EQUALIENT.index(a) + 1:],
+)
+
+
+def _family_mismatch(c: _Ctx, ka: str, kb: str):
+    differ = c.once(_family_set, ka) ^ c.once(_family_set, kb)
+    if not differ:
+        return None
+    a = min(differ, key=Subset.members)
+    return (("A", _ext(a)), ("in", ka if c.has(ka, a) else kb))
+
+
+def _semiprime_offense(c: _Ctx, r: Subset):
+    """(("a", x),) for the first x with {x}*{x} <= R and x not in R:
+    R is not semiprime elementwise."""
+    for x in range(c.g.n):
+        sx = _single(c, x)
+        if c.prod(sx, sx) <= r and x not in r:
+            return (("a", x),)
     return None
 
 
-def _check_sla2(ctx: _Ctx) -> TheoremReport:
-    return _biconditional_intra_check(
-        ctx, TheoremId.SLA2, "sla2", _sla2_rhs_offender,
-        len(ctx.family(IdealKind.LEFT)) + ctx.g.n if ctx.profile.left_invertive and ctx.profile.ag_star_star else 0,
-    )
-
-
-@_revalidator("sla2:forward")
-def _rv_sla2_f(g: GammaGroupoid, d: dict) -> bool:
-    ctx = _Ctx(g)
-    a = _sub(g, d["A"])
-    got = square(g, ctx.prod(ctx.s, a))
-    return (
-        is_intra_regular(g).holds
-        and ideals.is_left_ideal(g, a)
-        and got != a
-        and _ext(got) == d["got"]
-    )
-
-
-@_revalidator("sla2:converse")
-def _rv_sla2_c(g: GammaGroupoid, d: dict) -> bool:
-    ctx = _Ctx(g)
-    return (
-        _sla2_rhs_offender(ctx) is None
-        and intra_witness(g, d["offender"]) is None
-    )
-
-
-def _ideal_quantified_semiprime(g: GammaGroupoid, p: Subset) -> bool:
+def _ideal_quantified_semiprime(c: _Ctx, p: Subset) -> bool:
     # Definition-style semiprime with target P an arbitrary subset;
     # quantifies over the two-sided ideal family
-    for a in ideal_family(g, IdealKind.TWO_SIDED):
-        if subset_product(g, a, a) <= p and not (a <= p):
-            return False
-    return True
+    return all(not (c.prod(a, a) <= p) or a <= p for a in c.family(IdealKind.TWO_SIDED))
 
 
-def _check_rlt(ctx: _Ctx) -> TheoremReport:
-    tid = TheoremId.RLT
-    reason = _guard(ctx, need_intra=True)
-    if reason:
-        return _skipped(tid, reason)
-    parts = (
-        ("right", IdealKind.RIGHT),
-        ("left", IdealKind.LEFT),
-        ("two-sided", IdealKind.TWO_SIDED),
-    )
-    instances = 0
-    details = []
-    for part, kind in parts:
-        fam = ctx.family(kind)
-        instances += len(fam)
-        for r in fam:
-            if not ideals.is_elementwise_semiprime(ctx.g, r):
-                bad = next(
-                    x for x in range(ctx.g.n)
-                    if subset_product(ctx.g, Subset.singleton(ctx.g.n, x),
-                                      Subset.singleton(ctx.g.n, x)) <= r and x not in r
-                )
-                return _fail(
-                    tid, "rlt:elementwise",
-                    (("part", part), ("R", _ext(r)), ("a", bad)), instances,
-                )
-        details.append((f"{part}-ideal-quantified",
-                        all(_ideal_quantified_semiprime(ctx.g, r) for r in fam)))
-    return _pass(tid, instances, details=details)
+def _all_ideal_quantified(c: _Ctx, kind: IdealKind) -> bool:
+    return all(_ideal_quantified_semiprime(c, r) for r in c.family(kind))
 
 
-@_revalidator("rlt:elementwise")
-def _rv_rlt(g: GammaGroupoid, d: dict) -> bool:
-    kind = {"right": IdealKind.RIGHT, "left": IdealKind.LEFT,
-            "two-sided": IdealKind.TWO_SIDED}[d["part"]]
-    r = _sub(g, d["R"])
-    a = d["a"]
-    sa = Subset.singleton(g.n, a)
-    return (
-        ideals.kind_predicate(kind)(g, r)
-        and subset_product(g, sa, sa) <= r
-        and a not in r
-    )
+_RLT_PARTS = {"right": IdealKind.RIGHT, "left": IdealKind.LEFT, "two-sided": IdealKind.TWO_SIDED}
+
+_RLT_DOMAIN = _Domain(
+    ("part", "R"),
+    lambda c: [(p, r) for p, kind in _RLT_PARTS.items() for r in c.family(kind)],
+    lambda c, p, r: ideals.kind_predicate(_RLT_PARTS[p])(c.g, r),
+)
 
 
-def _rsemiprime_rhs_offender(ctx: _Ctx):
-    for r in ctx.family(IdealKind.RIGHT):
-        if not ideals.is_elementwise_semiprime(ctx.g, r):
-            bad = next(
-                x for x in range(ctx.g.n)
-                if subset_product(ctx.g, Subset.singleton(ctx.g.n, x),
-                                  Subset.singleton(ctx.g.n, x)) <= r and x not in r
-            )
-            return (("R", _ext(r)), ("a", bad))
-    return None
+def _rlt_instances(c: _Ctx, cx: Optional[Counterexample]) -> int:
+    parts = list(_RLT_PARTS)
+    if cx is not None:
+        parts = parts[: parts.index(cx.get("part")) + 1]
+    return sum(len(c.family(_RLT_PARTS[p])) for p in parts)
 
 
-def _check_rsemiprime_eq(ctx: _Ctx) -> TheoremReport:
-    reason = _guard(ctx, need_intra=False)
-    tid = TheoremId.RSEMIPRIME_EQ
-    if reason:
-        return _skipped(tid, reason)
-    rep = _biconditional_intra_check(
-        ctx, tid, "rsemiprime", _rsemiprime_rhs_offender,
-        len(ctx.family(IdealKind.RIGHT)) + ctx.g.n,
-    )
-    if rep.status == PASS:
-        idq = all(_ideal_quantified_semiprime(ctx.g, r)
-                  for r in ctx.family(IdealKind.RIGHT))
-        rep = TheoremReport(
-            tid, PASS, instances=rep.instances,
-            details=(("semiprime-sense", "elementwise"),
-                     ("ideal-quantified-all-semiprime", idq)),
-        )
-    return rep
+def _rlt_details(c: _Ctx, cx: Optional[Counterexample]) -> tuple:
+    if cx is not None:
+        return ()
+    return tuple((f"{p}-ideal-quantified", _all_ideal_quantified(c, kind))
+                 for p, kind in _RLT_PARTS.items())
 
 
-@_revalidator("rsemiprime:forward")
-def _rv_rsemi_f(g: GammaGroupoid, d: dict) -> bool:
-    r = _sub(g, d["R"])
-    a = d["a"]
-    sa = Subset.singleton(g.n, a)
-    return (
-        is_intra_regular(g).holds
-        and ideals.is_right_ideal(g, r)
-        and subset_product(g, sa, sa) <= r
-        and a not in r
-    )
+def _semiprime_right(c: _Ctx) -> tuple[Subset, ...]:
+    return tuple(r for r in c.family(IdealKind.RIGHT) if _semiprime_offense(c, r) is None)
 
 
-@_revalidator("rsemiprime:converse")
-def _rv_rsemi_c(g: GammaGroupoid, d: dict) -> bool:
-    ctx = _Ctx(g)
-    return (
-        _rsemiprime_rhs_offender(ctx) is None
-        and intra_witness(g, d["offender"]) is None
-    )
+# semiprime right ideal R and left ideal L
+_SEMIPRIME_RL = _Domain(
+    ("R", "L"),
+    lambda c: itertools.product(c.once(_semiprime_right), c.family(IdealKind.LEFT)),
+    lambda c, r, l: (ideals.is_right_ideal(c.g, r) and ideals.is_elementwise_semiprime(c.g, r)
+                     and ideals.is_left_ideal(c.g, l)),
+)
 
 
-def _semiprime_right_ideals(ctx: _Ctx) -> list[Subset]:
-    return [r for r in ctx.family(IdealKind.RIGHT)
-            if ideals.is_elementwise_semiprime(ctx.g, r)]
+def _n_right_left(c: _Ctx) -> int:
+    return len(c.family(IdealKind.RIGHT)) * len(c.family(IdealKind.LEFT))
 
 
-def _rintl_rhs_offender(ctx: _Ctx):
-    for r in _semiprime_right_ideals(ctx):
-        for l in ctx.family(IdealKind.LEFT):
-            if (r & l) != ctx.prod(r, l):
-                return (("R", _ext(r)), ("L", _ext(l)),
-                        ("intersection", _ext(r & l)),
-                        ("product", _ext(ctx.prod(r, l))))
-    return None
+def _rintl(c: _Ctx, r: Subset, l: Subset):
+    inter, prod = r & l, c.prod(r, l)
+    return None if inter == prod else (("intersection", _ext(inter)), ("product", _ext(prod)))
 
 
-def _check_rintl(ctx: _Ctx) -> TheoremReport:
-    rep = _biconditional_intra_check(
-        ctx, TheoremId.RINTL, "rintl", _rintl_rhs_offender,
-        (len(ctx.family(IdealKind.RIGHT)) * len(ctx.family(IdealKind.LEFT)) + ctx.g.n)
-        if ctx.profile.left_invertive and ctx.profile.ag_star_star else 0,
-    )
-    if rep.status == PASS:
-        rep = TheoremReport(
-            rep.theorem, PASS, instances=rep.instances,
-            details=(("semiprime-sense", "elementwise"),),
-        )
-    return rep
+def _lrl_ii(c: _Ctx, r: Subset, l: Subset):
+    """L&R <= L*R."""
+    prod = c.prod(l, r)
+    return None if (l & r) <= prod else (("intersection", _ext(l & r)), ("product", _ext(prod)))
 
 
-@_revalidator("rintl:forward")
-def _rv_rintl_f(g: GammaGroupoid, d: dict) -> bool:
-    r, l = _sub(g, d["R"]), _sub(g, d["L"])
-    inter, prod = r & l, subset_product(g, r, l)
-    return (
-        is_intra_regular(g).holds
-        and ideals.is_right_ideal(g, r)
-        and ideals.is_elementwise_semiprime(g, r)
-        and ideals.is_left_ideal(g, l)
-        and inter != prod
-        and _ext(inter) == d["intersection"]
-        and _ext(prod) == d["product"]
-    )
+def _lrl_iii(c: _Ctx, r: Subset, l: Subset):
+    """L&R <= (L*R)*L."""
+    lrl = c.prod(c.prod(l, r), l)
+    return None if (l & r) <= lrl else (("intersection", _ext(l & r)), ("product", _ext(lrl)))
 
 
-@_revalidator("rintl:converse")
-def _rv_rintl_c(g: GammaGroupoid, d: dict) -> bool:
-    ctx = _Ctx(g)
-    return (
-        _rintl_rhs_offender(ctx) is None
-        and intra_witness(g, d["offender"]) is None
-    )
+_LRL_II: _Statement = (_SEMIPRIME_RL, _lrl_ii)
+_LRL_III: _Statement = (_SEMIPRIME_RL, _lrl_iii)
 
 
-def _lrl_statement_ii(ctx: _Ctx):
-    """Offender for: L&R <= L*R for semiprime right R and left L."""
-    for r in _semiprime_right_ideals(ctx):
-        for l in ctx.family(IdealKind.LEFT):
-            if not ((l & r) <= ctx.prod(l, r)):
-                return (("R", _ext(r)), ("L", _ext(l)),
-                        ("intersection", _ext(l & r)),
-                        ("product", _ext(ctx.prod(l, r))))
-    return None
+def _lrl_details(c: _Ctx, cx) -> tuple:
+    return (("i-intra-regular", c.intra_holds()), ("ii-subset-product", _holds(c, _LRL_II)),
+            ("iii-subset-product-l", _holds(c, _LRL_III)), ("semiprime-sense", "elementwise"))
 
 
-def _lrl_statement_iii(ctx: _Ctx):
-    """Offender for: L&R <= (L*R)*L for semiprime right R and left L."""
-    for r in _semiprime_right_ideals(ctx):
-        for l in ctx.family(IdealKind.LEFT):
-            lrl = ctx.prod(ctx.prod(l, r), l)
-            if not ((l & r) <= lrl):
-                return (("R", _ext(r)), ("L", _ext(l)),
-                        ("intersection", _ext(l & r)), ("product", _ext(lrl)))
-    return None
-
-
-def _check_lrl(ctx: _Ctx) -> TheoremReport:
-    tid = TheoremId.LRL
-    reason = _guard(ctx, need_intra=False)
-    if reason:
-        return _skipped(tid, reason)
-    b1 = ctx.intra_holds()
-    off2 = _lrl_statement_ii(ctx)
-    off3 = _lrl_statement_iii(ctx)
-    b2, b3 = off2 is None, off3 is None
-    instances = 2 * len(ctx.family(IdealKind.RIGHT)) * len(ctx.family(IdealKind.LEFT)) + ctx.g.n
-    details = (("i-intra-regular", b1), ("ii-subset-product", b2),
-               ("iii-subset-product-l", b3), ("semiprime-sense", "elementwise"))
-    if b1 == b2 == b3:
-        return _pass(tid, instances, details=details)
-    if b1 and not b2:
-        return _fail(tid, "lrl:i-not-ii", off2, instances, details=details)
-    if b1 and not b3:
-        return _fail(tid, "lrl:i-not-iii", off3, instances, details=details)
-    if b2 and not b3:
-        return _fail(tid, "lrl:ii-not-iii", off3, instances, details=details)
-    if b3 and not b2:
-        return _fail(tid, "lrl:iii-not-ii", off2, instances, details=details)
-    # some statement holds while intra-regularity fails
-    return _fail(
-        tid, "lrl:not-intra", (("offender", ctx.first_offender()),),
-        instances, details=details,
-    )
-
-
-@_revalidator("lrl:i-not-ii")
-def _rv_lrl_12(g: GammaGroupoid, d: dict) -> bool:
-    r, l = _sub(g, d["R"]), _sub(g, d["L"])
-    return (
-        is_intra_regular(g).holds
-        and ideals.is_right_ideal(g, r)
-        and ideals.is_elementwise_semiprime(g, r)
-        and ideals.is_left_ideal(g, l)
-        and not ((l & r) <= subset_product(g, l, r))
-    )
-
-
-@_revalidator("lrl:i-not-iii")
-def _rv_lrl_13(g: GammaGroupoid, d: dict) -> bool:
-    r, l = _sub(g, d["R"]), _sub(g, d["L"])
-    lrl = subset_product(g, subset_product(g, l, r), l)
-    return (
-        is_intra_regular(g).holds
-        and ideals.is_right_ideal(g, r)
-        and ideals.is_elementwise_semiprime(g, r)
-        and ideals.is_left_ideal(g, l)
-        and not ((l & r) <= lrl)
-    )
-
-
-@_revalidator("lrl:ii-not-iii")
-def _rv_lrl_23(g: GammaGroupoid, d: dict) -> bool:
-    ctx = _Ctx(g)
-    r, l = _sub(g, d["R"]), _sub(g, d["L"])
-    lrl = subset_product(g, subset_product(g, l, r), l)
-    return _lrl_statement_ii(ctx) is None and not ((l & r) <= lrl)
-
-
-@_revalidator("lrl:iii-not-ii")
-def _rv_lrl_32(g: GammaGroupoid, d: dict) -> bool:
-    ctx = _Ctx(g)
-    r, l = _sub(g, d["R"]), _sub(g, d["L"])
-    return _lrl_statement_iii(ctx) is None and not ((l & r) <= subset_product(g, l, r))
-
-
-@_revalidator("lrl:not-intra")
-def _rv_lrl_ni(g: GammaGroupoid, d: dict) -> bool:
-    ctx = _Ctx(g)
-    b2 = _lrl_statement_ii(ctx) is None
-    b3 = _lrl_statement_iii(ctx) is None
-    return (b2 or b3) and intra_witness(g, d["offender"]) is None
-
-
-def _prime_in_family(ctx: _Ctx, p: Subset, fam: tuple[Subset, ...]) -> bool:
+def _prime_offense(c: _Ctx, p: Subset):
+    """(("A", a), ("B", b)) for the first two-sided A, B with A*B <= P
+    but neither inside P: P is not prime."""
+    fam = c.family(IdealKind.TWO_SIDED)
     for a in fam:
         for b in fam:
-            if ctx.prod(a, b) <= p and not (a <= p or b <= p):
-                return False
-    return True
+            if c.prod(a, b) <= p and not (a <= p or b <= p):
+                return (("A", _ext(a)), ("B", _ext(b)))
+    return None
 
 
-def _strongly_irr_in_family(ctx: _Ctx, p: Subset, fam: tuple[Subset, ...]) -> bool:
-    for a in fam:
-        for b in fam:
-            if (a & b) <= p and not (a <= p or b <= p):
-                return False
-    return True
+def _strongly_irreducible(c: _Ctx, p: Subset) -> bool:
+    fam = c.family(IdealKind.TWO_SIDED)
+    return all(not ((a & b) <= p) or a <= p or b <= p for a in fam for b in fam)
 
 
-def _check_prime_irr(ctx: _Ctx) -> TheoremReport:
-    tid = TheoremId.PRIME_IRR
-    reason = _guard(ctx, need_intra=True)
-    if reason:
-        return _skipped(tid, reason)
-    fam = ctx.family(IdealKind.TWO_SIDED)
-    for p in fam:
-        prime = _prime_in_family(ctx, p, fam)
-        irr = _strongly_irr_in_family(ctx, p, fam)
-        if prime != irr:
-            return _fail(
-                tid, "prime-irr:mismatch",
-                (("P", _ext(p)),
-                 ("direction", "prime-not-irreducible" if prime else "irreducible-not-prime")),
-                len(fam),
-            )
-    return _pass(tid, len(fam))
+def _prime_irr(c: _Ctx, p: Subset):
+    prime, irr = _prime_offense(c, p) is None, _strongly_irreducible(c, p)
+    if prime == irr:
+        return None
+    return (("direction", "prime-not-irreducible" if prime else "irreducible-not-prime"),)
 
 
-@_revalidator("prime-irr:mismatch")
-def _rv_prime_irr(g: GammaGroupoid, d: dict) -> bool:
-    ctx = _Ctx(g)
-    p = _sub(g, d["P"])
-    fam = ctx.family(IdealKind.TWO_SIDED)
-    prime = _prime_in_family(ctx, p, fam)
-    irr = _strongly_irr_in_family(ctx, p, fam)
-    if d["direction"] == "prime-not-irreducible":
-        return prime and not irr
-    return irr and not prime
-
-
-def _check_total_order(ctx: _Ctx) -> TheoremReport:
-    tid = TheoremId.TOTAL_ORDER
-    reason = _guard(ctx, need_intra=True)
-    if reason:
-        return _skipped(tid, reason)
-    fam = ctx.family(IdealKind.TWO_SIDED)
-    all_prime = all(_prime_in_family(ctx, p, fam) for p in fam)
-    chain = all(p <= q or q <= p for p in fam for q in fam)
-    instances = 2 * len(fam) ** 2
-    if all_prime and not chain:
-        p, q = next(
-            (p, q) for p in fam for q in fam if not (p <= q or q <= p)
-        )
-        return _fail(
-            tid, "total-order:incomparable",
-            (("P", _ext(p)), ("Q", _ext(q))), instances,
-        )
-    if chain and not all_prime:
-        p = next(p for p in fam if not _prime_in_family(ctx, p, fam))
-        a, b = next(
-            (a, b) for a in fam for b in fam
-            if ctx.prod(a, b) <= p and not (a <= p or b <= p)
-        )
-        return _fail(
-            tid, "total-order:not-prime",
-            (("P", _ext(p)), ("A", _ext(a)), ("B", _ext(b))), instances,
-        )
-    return _pass(tid, instances)
-
-
-@_revalidator("total-order:incomparable")
-def _rv_to_inc(g: GammaGroupoid, d: dict) -> bool:
-    ctx = _Ctx(g)
-    fam = ctx.family(IdealKind.TWO_SIDED)
-    p, q = _sub(g, d["P"]), _sub(g, d["Q"])
-    all_prime = all(_prime_in_family(ctx, x, fam) for x in fam)
-    return all_prime and not (p <= q or q <= p)
-
-
-@_revalidator("total-order:not-prime")
-def _rv_to_np(g: GammaGroupoid, d: dict) -> bool:
-    ctx = _Ctx(g)
-    fam = ctx.family(IdealKind.TWO_SIDED)
-    p, a, b = _sub(g, d["P"]), _sub(g, d["A"]), _sub(g, d["B"])
-    chain = all(x <= y or y <= x for x in fam for y in fam)
-    return (
-        chain
-        and subset_product(g, a, b) <= p
-        and not (a <= p or b <= p)
+def _is_minimal_ideal(g: GammaGroupoid, q: Subset) -> bool:
+    return ideals.is_two_sided_ideal(g, q) and not any(
+        p < q and ideals.is_two_sided_ideal(g, p) for p in all_nonempty_subsets(g)
     )
 
 
-def _check_semilattice(ctx: _Ctx) -> TheoremReport:
-    tid = TheoremId.SEMILATTICE
-    reason = _guard(ctx, need_intra=True)
-    if reason:
-        return _skipped(tid, reason)
-    fam = ctx.family(IdealKind.TWO_SIDED)
-    fam_set = set(fam)
-    instances = 2 * len(fam) ** 2 + len(fam)
-    for i in fam:
-        for j in fam:
-            prod = ctx.prod(i, j)
-            if prod not in fam_set:
-                return _fail(
-                    tid, "semilattice:closure",
-                    (("I", _ext(i)), ("J", _ext(j)), ("product", _ext(prod))),
-                    instances,
-                )
-            if prod != ctx.prod(j, i):
-                return _fail(
-                    tid, "semilattice:commutative",
-                    (("I", _ext(i)), ("J", _ext(j)),
-                     ("product", _ext(prod)), ("reversed", _ext(ctx.prod(j, i)))),
-                    instances,
-                )
-    for i in fam:
-        if ctx.prod(i, i) != i:
-            return _fail(
-                tid, "semilattice:idempotent",
-                (("I", _ext(i)), ("square", _ext(ctx.prod(i, i)))), instances,
-            )
-    return _pass(tid, instances)
-
-
-@_revalidator("semilattice:closure")
-def _rv_sl_cl(g: GammaGroupoid, d: dict) -> bool:
-    i, j = _sub(g, d["I"]), _sub(g, d["J"])
-    prod = subset_product(g, i, j)
-    ok_inputs = ideals.is_two_sided_ideal(g, i) and ideals.is_two_sided_ideal(g, j)
-    not_ideal = not prod or not ideals.is_two_sided_ideal(g, prod)
-    return ok_inputs and not_ideal and _ext(prod) == d["product"]
-
-
-@_revalidator("semilattice:commutative")
-def _rv_sl_co(g: GammaGroupoid, d: dict) -> bool:
-    i, j = _sub(g, d["I"]), _sub(g, d["J"])
-    prod, rev = subset_product(g, i, j), subset_product(g, j, i)
-    return (
-        ideals.is_two_sided_ideal(g, i)
-        and ideals.is_two_sided_ideal(g, j)
-        and prod != rev
-        and _ext(prod) == d["product"]
-        and _ext(rev) == d["reversed"]
-    )
-
-
-@_revalidator("semilattice:idempotent")
-def _rv_sl_id(g: GammaGroupoid, d: dict) -> bool:
-    i = _sub(g, d["I"])
-    sq = subset_product(g, i, i)
-    return ideals.is_two_sided_ideal(g, i) and sq != i and _ext(sq) == d["square"]
-
-
-def _minimal_members(fam: tuple[Subset, ...]) -> list[Subset]:
+def _minimal(c: _Ctx) -> list[Subset]:
+    fam = c.family(IdealKind.TWO_SIDED)
     return [q for q in fam if not any(p < q for p in fam)]
 
 
-def _check_minimal(ctx: _Ctx) -> TheoremReport:
-    tid = TheoremId.MINIMAL
-    reason = _guard(ctx, need_intra=True)
-    if reason:
-        return _skipped(tid, reason)
-    fam = ctx.family(IdealKind.TWO_SIDED)
-    minimal = _minimal_members(fam)
-    instances = len(minimal) ** 2 + len(minimal)
-    # forward: every minimal ideal is an intersection of two minimal ones
-    for q in minimal:
-        if not any((i & j) == q for i in minimal for j in minimal):
-            return _fail(tid, "minimal:no-decomposition", (("Q", _ext(q)),), instances)
-    # converse: an intersection of two minimal ideals that is a two-sided
-    # ideal must be minimal
-    for i in minimal:
-        for j in minimal:
-            k = i & j
-            if k and ideals.is_two_sided_ideal(ctx.g, k) and k not in minimal:
-                return _fail(
-                    tid, "minimal:intersection-not-minimal",
-                    (("I", _ext(i)), ("J", _ext(j)), ("K", _ext(k))), instances,
-                )
-    return _pass(tid, instances)
+def _minimal_domain(*names: str) -> _Domain:
+    return _over(names, lambda c: c.once(_minimal), _is_minimal_ideal)
 
 
-@_revalidator("minimal:no-decomposition")
-def _rv_min_nd(g: GammaGroupoid, d: dict) -> bool:
-    fam = ideal_family(g, IdealKind.TWO_SIDED)
-    minimal = _minimal_members(fam)
-    q = _sub(g, d["Q"])
-    return q in minimal and not any((i & j) == q for i in minimal for j in minimal)
+def _no_decomposition(c: _Ctx, q: Subset):
+    # every minimal ideal is an intersection of two minimal ones
+    minimal = c.once(_minimal)
+    return None if any((i & j) == q for i in minimal for j in minimal) else ()
 
 
-@_revalidator("minimal:intersection-not-minimal")
-def _rv_min_inm(g: GammaGroupoid, d: dict) -> bool:
-    fam = ideal_family(g, IdealKind.TWO_SIDED)
-    minimal = _minimal_members(fam)
-    i, j, k = _sub(g, d["I"]), _sub(g, d["J"]), _sub(g, d["K"])
-    return (
-        i in minimal and j in minimal and (i & j) == k and bool(k)
-        and ideals.is_two_sided_ideal(g, k) and k not in minimal
-    )
+def _intersection_not_minimal(c: _Ctx, i: Subset, j: Subset):
+    # an intersection of two minimal ideals that is a two-sided ideal
+    # must be minimal
+    k = i & j
+    if k and c.has(IdealKind.TWO_SIDED, k) and k not in c.once(_minimal):
+        return (("K", _ext(k)),)
+    return None
 
 
-_CHECKS: dict[TheoremId, Callable[[_Ctx], TheoremReport]] = {
-    TheoremId.JI: _check_ji,
-    TheoremId.JI_COR: _check_ji_cor,
-    TheoremId.KI: _check_ki,
-    TheoremId.KI_COR: _check_ki_cor,
-    TheoremId.AW: _check_aw,
-    TheoremId.AW_COR: _check_aw_cor,
-    TheoremId.JK: _check_jk,
-    TheoremId.LISR: _check_lisr,
-    TheoremId.BIIID: _check_biiid,
-    TheoremId.T_ONE_TWO: _check_t_one_two,
-    TheoremId.T_INTERIOR: _check_t_interior,
-    TheoremId.T_QUASI: _check_t_quasi,
-    TheoremId.T12: _check_t12,
-    TheoremId.PLO: _check_plo,
-    TheoremId.BINT: _check_bint,
-    TheoremId.QUO: _check_quo,
-    TheoremId.LI: _check_li,
-    TheoremId.EQUALIENT: _check_equalient,
-    TheoremId.II: _check_ii,
-    TheoremId.IDL: _check_idl,
-    TheoremId.IJ: _check_ij,
-    TheoremId.IFFFF: _check_iffff,
-    TheoremId.SLA2: _check_sla2,
-    TheoremId.RLT: _check_rlt,
-    TheoremId.RSEMIPRIME_EQ: _check_rsemiprime_eq,
-    TheoremId.RINTL: _check_rintl,
-    TheoremId.LRL: _check_lrl,
-    TheoremId.PRIME_IRR: _check_prime_irr,
-    TheoremId.TOTAL_ORDER: _check_total_order,
-    TheoremId.SEMILATTICE: _check_semilattice,
-    TheoremId.MINIMAL: _check_minimal,
+# --- the table ---------------------------------------------------------------
+
+def _identity(condition: str, kind: IdealKind, lhs: Callable[[_Ctx, Subset], Subset]) -> _Check:
+    """lhs(B) = B for every B of one family."""
+    clause = _Clause(condition, lambda c, b: _differs("lhs", lhs(c, b), b))
+    return _Check(True, ((_family(kind, "B"), (clause,)),), lambda c, cx: len(c.family(kind)))
+
+
+def _iff_intra(prefix: str, domain: _Domain, test: _Test, instances,
+               details=lambda c, cx: ()) -> _Check:
+    """intra-regular <=> `test` finds nothing over `domain`."""
+    rhs = (domain, test)
+    stages = _implications((_INTRA, rhs, f"{prefix}:forward"), (rhs, _INTRA, f"{prefix}:converse"))
+    return _Check(False, stages, instances, details)
+
+
+def _unsquared(c: _Ctx, a: Subset):
+    return _differs("square", c.prod(a, a), a)
+
+
+def _sla2(c: _Ctx, a: Subset):
+    sa = c.prod(c.s, a)
+    return _differs("got", c.prod(sa, sa), a)
+
+
+_TWO = IdealKind.TWO_SIDED
+_TWO_SIDED_PAIRS = _family(_TWO, "I", "J")
+_CHAIN: _Statement = (_family(_TWO, "P", "Q"),
+                     lambda c, p, q: None if p <= q or q <= p else ())
+_ALL_PRIME: _Statement = (_family(_TWO, "P"), _prime_offense)
+
+
+def _n_two_sided(c: _Ctx) -> int:
+    return len(c.family(_TWO))
+
+
+_CHECKS: dict[TheoremId, _Check] = {
+    TheoremId.JI: _Check(
+        False,
+        ((_Domain(("hypothesis", "offender"),
+                  lambda c: [(_hypothesis(c), x) for x in range(c.g.n)],
+                  lambda c, h, x: c.once(_HYPOTHESES[h]) and _is_element(c.g, x)),
+          (_Clause("ji:not-intra-regular", lambda c, h, x: _not_intra(c, x)),)),),
+        lambda c, cx: 3 * c.g.n,
+        details=lambda c, cx: () if cx else (("hypothesis", _hypothesis(c)),),
+        vacuous=lambda c: None if c.once(_sga) or c.once(_ags) else (
+            "neither S*{a}=S nor {a}*S=S holds for every a", 2 * c.g.n),
+    ),
+    TheoremId.JI_COR: _Check(
+        False,
+        ((_elements("a"), (_Clause(
+            "ji-cor:s-times-a",
+            lambda c, a: _differs("product", c.prod(c.s, _single(c, a)), c.s)),)),),
+        lambda c, cx: 2 * c.g.n,
+        vacuous=lambda c: None if c.once(_ags) else (
+            "{a}*S=S does not hold for every a", c.g.n),
+    ),
+    TheoremId.KI: _identity("ki:product-identity", IdealKind.GENERALIZED_BI, _bsb),
+    # same content as KI since B is a subset of S; kept as its own
+    # report because the restated form (= B) is quoted independently
+    TheoremId.KI_COR: _identity("ki-cor:product-identity", IdealKind.GENERALIZED_BI, _bsb),
+    TheoremId.AW: _identity("aw:product-identity", IdealKind.INTERIOR, _sbs),
+    TheoremId.AW_COR: _identity("aw-cor:product-identity", IdealKind.INTERIOR, _sbs),
+    TheoremId.JK: _Check(
+        True,
+        ((_UNIT, (_Clause("jk:s-times-s",
+                          lambda c: _differs("product", c.prod(c.s, c.s), c.s)),)),),
+        lambda c, cx: 1,
+    ),
+    TheoremId.LISR: _Check(
+        True, ((_SUBSETS, (_Clause("lisr:left-right-mismatch", _lisr),)),), _n_subsets,
+    ),
+    TheoremId.BIIID: _Check(
+        True,
+        ((_SUBSETS, (_Clause("biiid:forward", _biiid_forward),
+                     _Clause("biiid:converse", _biiid_converse))),),
+        _n_subsets,
+    ),
+    TheoremId.T_ONE_TWO: _iff("t-one-two", IdealKind.ONE_TWO, _one_two_rhs),
+    TheoremId.T_INTERIOR: _iff("t-interior", IdealKind.INTERIOR, _interior_rhs),
+    TheoremId.T_QUASI: _iff("t-quasi", IdealKind.QUASI, _quasi_rhs),
+    TheoremId.T12: _iff("t12", IdealKind.ONE_TWO, _has(_TWO)),
+    TheoremId.PLO: _iff("plo", IdealKind.ONE_TWO, _has(IdealKind.INTERIOR)),
+    TheoremId.BINT: _iff("bint", IdealKind.BI, _has(IdealKind.INTERIOR)),
+    TheoremId.QUO: _iff("quo", IdealKind.ONE_TWO, _has(IdealKind.QUASI)),
+    TheoremId.LI: _iff("li", _TWO, _has("fixed")),
+    TheoremId.EQUALIENT: _Check(
+        True,
+        ((_KIND_PAIRS, (_Clause("equalient:family-mismatch", _family_mismatch),)),),
+        lambda c, cx: len(_EQUALIENT) * len(c.subsets()),
+    ),
+    TheoremId.II: _iff_intra(
+        "ii", _family(IdealKind.BI, "B"), _unsquared, _family_plus_n(IdealKind.BI)),
+    TheoremId.IDL: _Check(
+        True,
+        ((_TWO_SIDED_PAIRS,
+          (_Clause("idl:empty-intersection", lambda c, i, j: None if i & j else ()),
+           _Clause("idl:not-ideal", lambda c, i, j: (
+               (("K", _ext(i & j)),) if i & j and not c.has(_TWO, i & j) else None)))),),
+        lambda c, cx: _n_two_sided(c) ** 2,
+    ),
+    TheoremId.IJ: _Check(
+        True,
+        ((_TWO_SIDED_PAIRS, (_Clause("ij:product-intersection", lambda c, i, j: (
+            None if c.prod(i, j) == i & j
+            else (("product", _ext(c.prod(i, j))), ("intersection", _ext(i & j))))),)),),
+        lambda c, cx: _n_two_sided(c) ** 2,
+    ),
+    TheoremId.IFFFF: _iff_intra(
+        "iffff", _family(IdealKind.LEFT, "A"), _unsquared, _family_plus_n(IdealKind.LEFT)),
+    TheoremId.SLA2: _iff_intra(
+        "sla2", _family(IdealKind.LEFT, "A"), _sla2, _family_plus_n(IdealKind.LEFT)),
+    TheoremId.RLT: _Check(
+        True,
+        ((_RLT_DOMAIN, (_Clause("rlt:elementwise", lambda c, p, r: _semiprime_offense(c, r)),)),),
+        _rlt_instances, _rlt_details,
+    ),
+    TheoremId.RSEMIPRIME_EQ: _iff_intra(
+        "rsemiprime", _family(IdealKind.RIGHT, "R"), _semiprime_offense,
+        _family_plus_n(IdealKind.RIGHT),
+        lambda c, cx: () if cx else (
+            ("semiprime-sense", "elementwise"),
+            ("ideal-quantified-all-semiprime", _all_ideal_quantified(c, IdealKind.RIGHT)))),
+    TheoremId.RINTL: _iff_intra(
+        "rintl", _SEMIPRIME_RL, _rintl, lambda c, cx: _n_right_left(c) + c.g.n,
+        lambda c, cx: () if cx else (("semiprime-sense", "elementwise"),)),
+    TheoremId.LRL: _Check(
+        False,
+        _implications(
+            (_INTRA, _LRL_II, "lrl:i-not-ii"),
+            (_INTRA, _LRL_III, "lrl:i-not-iii"),
+            (_LRL_II, _LRL_III, "lrl:ii-not-iii"),
+            (_LRL_III, _LRL_II, "lrl:iii-not-ii"),
+            # some statement holds while intra-regularity fails
+            (_LRL_II, _INTRA, "lrl:not-intra"),
+        ),
+        lambda c, cx: 2 * _n_right_left(c) + c.g.n,
+        _lrl_details,
+    ),
+    TheoremId.PRIME_IRR: _Check(
+        True, ((_family(_TWO, "P"), (_Clause("prime-irr:mismatch", _prime_irr),)),),
+        lambda c, cx: _n_two_sided(c),
+    ),
+    TheoremId.TOTAL_ORDER: _Check(
+        True,
+        _implications((_ALL_PRIME, _CHAIN, "total-order:incomparable"),
+                      (_CHAIN, _ALL_PRIME, "total-order:not-prime")),
+        lambda c, cx: 2 * _n_two_sided(c) ** 2,
+    ),
+    TheoremId.SEMILATTICE: _Check(
+        True,
+        ((_TWO_SIDED_PAIRS,
+          (_Clause("semilattice:closure", lambda c, i, j: (
+              None if c.has(_TWO, c.prod(i, j)) else (("product", _ext(c.prod(i, j))),))),
+           _Clause("semilattice:commutative", lambda c, i, j: (
+               None if c.prod(i, j) == c.prod(j, i)
+               else (("product", _ext(c.prod(i, j))), ("reversed", _ext(c.prod(j, i)))))))),
+         (_family(_TWO, "I"), (_Clause("semilattice:idempotent", _unsquared),))),
+        lambda c, cx: 2 * _n_two_sided(c) ** 2 + _n_two_sided(c),
+    ),
+    TheoremId.MINIMAL: _Check(
+        True,
+        ((_minimal_domain("Q"), (_Clause("minimal:no-decomposition", _no_decomposition),)),
+         (_minimal_domain("I", "J"),
+          (_Clause("minimal:intersection-not-minimal", _intersection_not_minimal),))),
+        lambda c, cx: len(c.once(_minimal)) ** 2 + len(c.once(_minimal)),
+    ),
+}
+
+# condition -> (check, domain, clause), read off the table
+_CONDITIONS: dict[str, tuple[_Check, _Domain, _Clause]] = {
+    clause.condition: (check, domain, clause)
+    for check in _CHECKS.values()
+    for domain, clauses in check.stages
+    for clause in clauses
 }
 
 
+def _first_failure(c: _Ctx, check: _Check) -> Optional[Counterexample]:
+    for domain, clauses in check.stages:
+        live = tuple(cl for cl in clauses if cl.premise is None or _holds(c, cl.premise))
+        hit = c.once(_sweep, domain, tuple(cl.test for cl in live)) if live else None
+        if hit is not None:
+            i, w, extra = hit
+            return Counterexample(live[i].condition, _data(domain, w, extra))
+    return None
+
+
 def run_check(g: GammaGroupoid, theorem: TheoremId) -> TheoremReport:
-    return _CHECKS[theorem](_ctx(g))
+    c, check = _ctx(g), _CHECKS[theorem]
+    reason = _guard(c, check.need_intra)
+    if reason:
+        return TheoremReport(theorem, SKIPPED, reason=reason)
+    vacuous = check.vacuous(c)
+    if vacuous:
+        return TheoremReport(theorem, VACUOUS, reason=vacuous[0], instances=vacuous[1])
+    cx = _first_failure(c, check)
+    return TheoremReport(
+        theorem, FAIL if cx else PASS, counterexample=cx,
+        instances=check.instances(c, cx), details=check.details(c, cx),
+    )
 
 
-def check_ji(g): return run_check(g, TheoremId.JI)
-def check_ji_cor(g): return run_check(g, TheoremId.JI_COR)
-def check_ki(g): return run_check(g, TheoremId.KI)
-def check_ki_cor(g): return run_check(g, TheoremId.KI_COR)
-def check_aw(g): return run_check(g, TheoremId.AW)
-def check_aw_cor(g): return run_check(g, TheoremId.AW_COR)
-def check_jk(g): return run_check(g, TheoremId.JK)
-def check_lisr(g): return run_check(g, TheoremId.LISR)
-def check_biiid(g): return run_check(g, TheoremId.BIIID)
-def check_t_one_two(g): return run_check(g, TheoremId.T_ONE_TWO)
-def check_t_interior(g): return run_check(g, TheoremId.T_INTERIOR)
-def check_t_quasi(g): return run_check(g, TheoremId.T_QUASI)
-def check_t12(g): return run_check(g, TheoremId.T12)
-def check_plo(g): return run_check(g, TheoremId.PLO)
-def check_bint(g): return run_check(g, TheoremId.BINT)
-def check_quo(g): return run_check(g, TheoremId.QUO)
-def check_li(g): return run_check(g, TheoremId.LI)
-def check_equalient(g): return run_check(g, TheoremId.EQUALIENT)
-def check_ii(g): return run_check(g, TheoremId.II)
-def check_idl(g): return run_check(g, TheoremId.IDL)
-def check_ij(g): return run_check(g, TheoremId.IJ)
-def check_iffff(g): return run_check(g, TheoremId.IFFFF)
-def check_sla2(g): return run_check(g, TheoremId.SLA2)
-def check_rlt(g): return run_check(g, TheoremId.RLT)
-def check_rsemiprime_eq(g): return run_check(g, TheoremId.RSEMIPRIME_EQ)
-def check_rintl(g): return run_check(g, TheoremId.RINTL)
-def check_lrl(g): return run_check(g, TheoremId.LRL)
-def check_prime_irr(g): return run_check(g, TheoremId.PRIME_IRR)
-def check_total_order(g): return run_check(g, TheoremId.TOTAL_ORDER)
-def check_semilattice(g): return run_check(g, TheoremId.SEMILATTICE)
-def check_minimal(g): return run_check(g, TheoremId.MINIMAL)
+def revalidate_counterexample(g: GammaGroupoid, cx: Counterexample) -> bool:
+    """Re-run the violated clause from scratch; True iff it reproduces
+    every recorded field.  Raises KeyError for an unknown condition."""
+    check, domain, clause = _CONDITIONS[cx.condition]
+    data = {k: (tuple(v) if isinstance(v, (list, tuple)) else v) for k, v in cx.data}
+    c = _Ctx(g)
+    if _guard(c, check.need_intra) or check.vacuous(c):
+        return False
+    try:
+        w = tuple(_sub(g, data[k]) if isinstance(data[k], tuple) else data[k]
+                  for k in domain.names)
+        if not domain.member(c, *w):
+            return False
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return False
+    if clause.premise is not None and not _holds(c, clause.premise):
+        return False
+    extra = clause.test(c, *w)
+    return extra is not None and dict(_data(domain, w, extra)) == data
 
 
 def run_suite(

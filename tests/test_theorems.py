@@ -215,10 +215,6 @@ def guards_open(monkeypatch):
     theorems._ctx.cache_clear()
 
 
-def _from_json(cx):
-    return Counterexample(cx["condition"], tuple(cx["data"].items()))
-
-
 def test_guard_open_suite_matches_frozen_fixture(guards_open):
     # The only fixture that reaches most fail paths: every check runs
     # on tables outside its guard.
@@ -227,5 +223,81 @@ def test_guard_open_suite_matches_frozen_fixture(guards_open):
         got = suite_to_json_obj(g, run_suite(g))
         assert json.dumps(got, indent=2) == json.dumps(entry["suite"], indent=2)
         for r in got["reports"]:
-            if "counterexample" in r:
-                assert revalidate_counterexample(g, _from_json(r["counterexample"])), r
+            cx = r.get("counterexample")
+            if cx:
+                replay = Counterexample(cx["condition"], tuple(cx["data"].items()))
+                assert revalidate_counterexample(g, replay), cx
+
+
+# Cyclic group of order 3: left invertive, ag-star-star and
+# intra-regular; its only ideal is the whole carrier.
+CYCLIC3 = GammaGroupoid(3, 1, (0, 1, 2, 1, 2, 0, 2, 0, 1))
+
+
+def test_made_up_counterexamples_do_not_revalidate(m5):
+    # TOTAL_ORDER and LRL pass on the paper example, whose only two-sided
+    # ideals are (0,) and the full set; none of these witnesses is real.
+    forged = [
+        (m5, "total-order:not-prime", (("P", (0, 1)), ("A", (0, 2)), ("B", (0, 2)))),
+        (m5, "total-order:incomparable", (("P", (0,)), ("Q", (1,)))),
+        (m5, "lrl:iii-not-ii",
+         (("R", (0, 1, 2)), ("L", (0, 2)), ("intersection", ()), ("product", ()))),
+        (CYCLIC3, "lrl:ii-not-iii",
+         (("R", (0, 1)), ("L", (1,)), ("intersection", ()), ("product", ()))),
+    ]
+    for g, condition, data in forged:
+        assert not revalidate_counterexample(g, Counterexample(condition, data)), condition
+
+
+COMPUTED_FIELDS = ("lhs", "product", "square", "got", "intersection", "reversed", "K")
+
+
+def test_changed_computed_field_does_not_revalidate(guards_open):
+    tampered = 0
+    for entry in load_data("guard_open_suite.json")["models"]:
+        g = GammaGroupoid(entry["order"], entry["gammas"], tuple(entry["table"]))
+        for r in entry["suite"]["reports"]:
+            cx = r.get("counterexample")
+            for name in COMPUTED_FIELDS if cx else ():
+                if name not in cx["data"]:
+                    continue
+                other = sorted(set(cx["data"][name]) ^ {0})
+                data = dict(cx["data"], **{name: other})
+                forged = Counterexample(cx["condition"], tuple(data.items()))
+                assert not revalidate_counterexample(g, forged), (cx, name)
+                tampered += 1
+    assert tampered > 0
+
+
+# Every condition a fail report can name, frozen so that the table
+# cannot silently drop one.
+CONDITIONS = {
+    "ji:not-intra-regular", "ji-cor:s-times-a",
+    "ki:product-identity", "ki-cor:product-identity",
+    "aw:product-identity", "aw-cor:product-identity",
+    "jk:s-times-s", "lisr:left-right-mismatch",
+    "biiid:forward", "biiid:converse",
+    "t-one-two:forward", "t-one-two:converse",
+    "t-interior:forward", "t-interior:converse",
+    "t-quasi:forward", "t-quasi:converse",
+    "t12:forward", "t12:converse", "plo:forward", "plo:converse",
+    "bint:forward", "bint:converse", "quo:forward", "quo:converse",
+    "li:forward", "li:converse", "equalient:family-mismatch",
+    "ii:forward", "ii:converse",
+    "idl:empty-intersection", "idl:not-ideal", "ij:product-intersection",
+    "iffff:forward", "iffff:converse", "sla2:forward", "sla2:converse",
+    "rlt:elementwise", "rsemiprime:forward", "rsemiprime:converse",
+    "rintl:forward", "rintl:converse",
+    "lrl:i-not-ii", "lrl:i-not-iii", "lrl:ii-not-iii", "lrl:iii-not-ii", "lrl:not-intra",
+    "prime-irr:mismatch", "total-order:incomparable", "total-order:not-prime",
+    "semilattice:closure", "semilattice:commutative", "semilattice:idempotent",
+    "minimal:no-decomposition", "minimal:intersection-not-minimal",
+}
+
+
+def test_revalidation_accepts_exactly_the_frozen_conditions():
+    assert len(CONDITIONS) == 54
+    assert set(theorems._CONDITIONS) == CONDITIONS
+    for condition in CONDITIONS:
+        # known condition, missing witness: rejected, not a KeyError
+        assert not revalidate_counterexample(GAP3, Counterexample(condition, ()))
