@@ -14,22 +14,23 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from gag.search import SearchSpec, enumerate_models, naive_enumerate
-
-AXIOM_SETS = {
-    "ag": frozenset({"left-invertive"}),
-    "agss": frozenset({"left-invertive", "ag-star-star"}),
-}
+from gag.search import (
+    AXIOM_SETS,
+    FILTER_NAMES,
+    SearchSpec,
+    enumerate_models,
+    naive_enumerate,
+)
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-order", type=int, default=3)
     ap.add_argument("--max-gammas", type=int, default=2)
-    ap.add_argument("--axiom", choices=("ag", "agss", "both"), default="both")
+    ap.add_argument("--axiom", choices=(*AXIOM_SETS, "both"), default="both")
     ap.add_argument(
         "--filter",
-        choices=("any", "intra-regular", "non-intra-regular", "all"),
+        choices=(*FILTER_NAMES, "all"),
         default="any",
         help="'all' prints every filter column",
     )
@@ -41,12 +42,8 @@ def main() -> int:
     )
     args = ap.parse_args()
 
-    axiom_names = ("ag", "agss") if args.axiom == "both" else (args.axiom,)
-    filters = (
-        ("any", "intra-regular", "non-intra-regular")
-        if args.filter == "all"
-        else (args.filter,)
-    )
+    axiom_names = tuple(AXIOM_SETS) if args.axiom == "both" else (args.axiom,)
+    filters = FILTER_NAMES if args.filter == "all" else (args.filter,)
     print(f"{'n':>2} {'m':>2} {'axioms':6s} {'filter':17s} {'classes':>7s} {'secs':>6s}")
     for n in range(1, args.max_order + 1):
         for m in range(1, args.max_gammas + 1):

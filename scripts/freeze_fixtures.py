@@ -20,18 +20,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import gag.theorems as theorems
 from gag.fixtures import paper_example
 from gag.model import GammaGroupoid, all_models
-from gag.search import SearchSpec, enumerate_models, naive_enumerate
+from gag.search import (
+    AXIOM_SETS,
+    FILTER_NAMES,
+    SearchSpec,
+    enumerate_models,
+    naive_enumerate,
+)
 from gag.theorems import TheoremId, run_check, run_suite, suite_to_json_obj
-
-AXIOM_SETS = {
-    "ag": frozenset({"left-invertive"}),
-    "agss": frozenset({"left-invertive", "ag-star-star"}),
-}
 
 # (order, gammas) grid where the oracle is feasible
 GRID = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)]
-
-FILTERS = ("any", "intra-regular", "non-intra-regular")
 
 # converse-capable checks hunted for gap witnesses
 HUNTED = ("JI", "II", "IFFFF", "SLA2", "RSEMIPRIME_EQ", "RINTL", "LRL", "BIIID")
@@ -41,7 +40,7 @@ def freeze_enum_counts(out: Path) -> None:
     rows = []
     for n, m in GRID:
         for ax_name, axioms in AXIOM_SETS.items():
-            for filt in FILTERS:
+            for filt in FILTER_NAMES:
                 t0 = time.time()
                 forms = naive_enumerate(n, m, axioms, filt)
                 rows.append(

@@ -36,13 +36,13 @@ from .model import (
 )
 from .regularity import format_witness, intra_witness, is_intra_regular
 from .search import (
+    AXIOM_SETS,
+    FILTER_NAMES,
     SearchSpec,
     SizeGuardError,
     canonical_model,
-    enumerate_models,
-    find_counterexample,
     hunt_to_json_obj,
-    count_models,
+    run_search,
     search_to_json_obj,
 )
 from .subsets import (
@@ -275,42 +275,40 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    axioms = {
-        "ag": frozenset({"left-invertive"}),
-        "agss": frozenset({"left-invertive", "ag-star-star"}),
-    }[args.axiom]
     if args.find_counterexample is not None:
         target, theorem = "find-counterexample", args.find_counterexample
     elif args.count:
         target, theorem = "count", None
     else:
         target, theorem = "enumerate", None
-    spec = SearchSpec(
-        n=args.order,
-        m=args.gammas,
-        axioms=axioms,
-        filter=args.filter,
-        target=target,
-        theorem=theorem,
-        max_models=args.limit,
-        time_budget=args.time_budget,
-        workers=args.workers,
-    )
+    try:
+        spec = SearchSpec(
+            n=args.order,
+            m=args.gammas,
+            axioms=AXIOM_SETS[args.axiom],
+            filter=args.filter,
+            target=target,
+            theorem=theorem,
+            max_models=args.limit,
+            time_budget=args.time_budget,
+            workers=args.workers,
+        )
+    except ValueError as e:
+        raise UsageError(str(e)) from e
+    result = run_search(spec)
     if target == "find-counterexample":
-        hunt = find_counterexample(spec)
         if args.json:
-            _emit_json(hunt_to_json_obj(spec, hunt))
+            _emit_json(hunt_to_json_obj(spec, result))
         else:
-            if hunt.found:
-                sys.stdout.write(serialize_model(hunt.model))
-                sys.stdout.write(format_report_table([hunt.report]))
+            if result.found:
+                sys.stdout.write(serialize_model(result.model))
+                sys.stdout.write(format_report_table([result.report]))
             print(
-                f"# scanned={hunt.scanned} found={str(hunt.found).lower()}"
-                f" truncated={str(hunt.truncated).lower()} elapsed={hunt.elapsed:.2f}s"
+                f"# scanned={result.scanned} found={str(result.found).lower()}"
+                f" truncated={str(result.truncated).lower()} elapsed={result.elapsed:.2f}s"
             )
-        return 2 if hunt.found else 0
+        return 2 if result.found else 0
 
-    result = count_models(spec) if target == "count" else enumerate_models(spec)
     if args.json:
         _emit_json(search_to_json_obj(spec, result))
     else:
@@ -449,13 +447,13 @@ def build_parser() -> _Parser:
     p.add_argument("--gammas", type=int, default=1, help="operator count, default 1 (example: --gammas 2)")
     p.add_argument(
         "--axiom",
-        choices=("ag", "agss"),
+        choices=AXIOM_SETS,
         default="ag",
         help="ag = left invertive only, agss = left invertive + the ag-star-star law (example: --axiom agss)",
     )
     p.add_argument(
         "--filter",
-        choices=("any", "intra-regular", "non-intra-regular"),
+        choices=FILTER_NAMES,
         default="any",
         help="keep only models with (or without) full intra-regularity (example: --filter non-intra-regular)",
     )

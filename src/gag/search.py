@@ -2,7 +2,9 @@
 
 The enumerator fills table cells in ascending flat order (row-major by
 (element, operator, element)), pruning a branch as soon as some fully
-instantiated ground instance of a required law is violated.  Completed
+instantiated ground instance of a required law is violated.  Each
+instance of either law is a tuple (i, s, p, j, q), checked inline by the
+DFS as t[t[i]*s + p] == t[t[j]*s + q] over the flat table t.  Completed
 tables are filtered, canonicalized and deduplicated; the emitted set is
 provably independent of the worker count because per-prefix results are
 merged in prefix order and only first occurrences matter.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Optional, Sequence
@@ -26,6 +29,7 @@ from .regularity import is_intra_regular
 from .theorems import TheoremId, TheoremReport, run_check
 
 AXIOM_NAMES = ("left-invertive", "ag-star-star")
+AXIOM_SETS = {"ag": frozenset({"left-invertive"}), "agss": frozenset(AXIOM_NAMES)}
 FILTER_NAMES = ("any", "intra-regular", "non-intra-regular")
 
 MAX_CANON_N = 6
@@ -49,7 +53,7 @@ class SearchSpec:
 
     n: int
     m: int
-    axioms: frozenset = frozenset({"left-invertive"})
+    axioms: frozenset = AXIOM_SETS["ag"]
     filter: str = "any"
     target: str = "enumerate"
     theorem: Optional[TheoremId] = None
@@ -104,15 +108,14 @@ class HuntResult:
 
 # --- canonical forms --------------------------------------------------------
 
-def canonicalize(
-    g: GammaGroupoid, *, max_n: int = MAX_CANON_N, max_m: int = MAX_CANON_M
-) -> tuple[int, ...]:
+def canonicalize(g: GammaGroupoid) -> tuple[int, ...]:
     """Lexicographically least flat table over all simultaneous
     relabelings of elements and operators.  Two models are isomorphic
     iff their canonical forms are equal."""
-    if g.n > max_n or g.m > max_m:
+    if g.n > MAX_CANON_N or g.m > MAX_CANON_M:
         raise SizeGuardError(
-            f"canonicalization guarded at n<={max_n}, m<={max_m}; got n={g.n}, m={g.m}"
+            f"canonicalization guarded at n<={MAX_CANON_N}, m<={MAX_CANON_M}; "
+            f"got n={g.n}, m={g.m}"
         )
     n, m, t = g.n, g.m, g.table
     best: Optional[tuple[int, ...]] = None
@@ -157,12 +160,14 @@ def are_isomorphic(g1: GammaGroupoid, g2: GammaGroupoid) -> bool:
 # --- ground law instances for pruning ---------------------------------------
 
 def compile_instances(n: int, m: int, axioms: Iterable[str]) -> tuple[tuple, ...]:
-    """Nontrivial ground instances of the required laws.
+    """Nontrivial ground instances of the required laws, each a tuple
+    (i, s, p, j, q) that holds iff t[t[i]*s + p] == t[t[j]*s + q].
 
-    Left invertive (x g y) d z = (z g y) d x is trivial at x = z, and
-    the ag-star-star identity x a (y b z) = y a (x b z) at x = y, so
-    those are skipped; shape tags tell the evaluator where the computed
-    value feeds back into the table.
+    Left invertive (x g y) d z = (z g y) d x has i = x g y, j = z g y,
+    s = m*n, p = d*n + z and q = d*n + x.  The ag-star-star identity
+    x a (y b z) = y a (x b z) has i = y b z, j = x b z, s = 1,
+    p = (x*m + a)*n and q = (y*m + a)*n.  The first is trivial at x = z
+    and the second at x = y, so those are skipped.
     """
     out: list[tuple] = []
     axioms = set(axioms)
@@ -172,74 +177,44 @@ def compile_instances(n: int, m: int, axioms: Iterable[str]) -> tuple[tuple, ...
                 for y in range(n):
                     for gam in range(m):
                         for dlt in range(m):
-                            out.append(
-                                ("L", (x * m + gam) * n + y, (z * m + gam) * n + y, dlt, z, x)
-                            )
+                            i = (x * m + gam) * n + y
+                            j = (z * m + gam) * n + y
+                            out.append((i, m * n, dlt * n + z, j, dlt * n + x))
     if "ag-star-star" in axioms:
         for x in range(n):
             for y in range(x + 1, n):
                 for z in range(n):
                     for al in range(m):
                         for be in range(m):
-                            out.append(
-                                ("R", x, y, al, (y * m + be) * n + z, (x * m + be) * n + z)
-                            )
+                            i = (y * m + be) * n + z
+                            j = (x * m + be) * n + z
+                            out.append((i, 1, (x * m + al) * n, j, (y * m + al) * n))
     return tuple(out)
 
 
-def _eval_instance(t: Sequence[int], inst: tuple, n: int, m: int) -> Optional[bool]:
-    """True/False once every needed cell is assigned, None before."""
-    if inst[0] == "L":
-        _, i1, i2, d, z, x = inst
-        v1 = t[i1]
-        if v1 < 0:
-            return None
-        a = t[(v1 * m + d) * n + z]
-        if a < 0:
-            return None
-        v2 = t[i2]
-        if v2 < 0:
-            return None
-        b = t[(v2 * m + d) * n + x]
-        if b < 0:
-            return None
-        return a == b
-    _, x, y, al, i1, i2 = inst
-    v1 = t[i1]
-    if v1 < 0:
-        return None
-    a = t[(x * m + al) * n + v1]
-    if a < 0:
-        return None
-    v2 = t[i2]
-    if v2 < 0:
-        return None
-    b = t[(y * m + al) * n + v2]
-    if b < 0:
-        return None
-    return a == b
-
-
 def _dfs(
-    t: list[int], cell: int, total: int, n: int, m: int,
-    instances: tuple[tuple, ...], pending: list[int],
+    t: list[int], cell: int, total: int, n: int, pending: Sequence[tuple]
 ) -> Iterator[tuple[int, ...]]:
     if cell == total:
         yield tuple(t)
         return
     for v in range(n):
         t[cell] = v
-        ok = True
         nxt = []
-        for ii in pending:
-            r = _eval_instance(t, instances[ii], n, m)
-            if r is None:
-                nxt.append(ii)
-            elif r is False:
-                ok = False
-                break
-        if ok:
-            yield from _dfs(t, cell + 1, total, n, m, instances, nxt)
+        for inst in pending:
+            i, s, p, j, q = inst
+            a = t[i]
+            b = t[j]
+            if a >= 0 and b >= 0:
+                a = t[a * s + p]
+                b = t[b * s + q]
+                if a >= 0 and b >= 0:
+                    if a != b:
+                        break
+                    continue
+            nxt.append(inst)
+        else:
+            yield from _dfs(t, cell + 1, total, n, nxt)
     t[cell] = -1
 
 
@@ -256,13 +231,12 @@ def _enumerate_chunk(args) -> list[tuple[int, ...]]:
     n, m, axioms, filt, prefixes = args
     total = n * n * m
     instances = compile_instances(n, m, axioms)
-    all_pending = list(range(len(instances)))
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []
     for prefix in prefixes:
         t = [-1] * total
         t[: len(prefix)] = list(prefix)
-        for flat in _dfs(t, len(prefix), total, n, m, instances, all_pending):
+        for flat in _dfs(t, len(prefix), total, n, instances):
             g = GammaGroupoid(n, m, flat)
             if not _passes_filter(g, filt):
                 continue
@@ -291,36 +265,22 @@ def _scan(spec: SearchSpec) -> tuple[list[tuple[int, ...]], bool, float]:
     t0 = time.monotonic()
     chunks = _chunked_prefixes(spec.n, spec.workers)
     args = [(spec.n, spec.m, spec.axioms, spec.filter, chunk) for chunk in chunks]
+    pooled = spec.workers > 1 and len(args) > 1
     seen: set[tuple[int, ...]] = set()
     ordered: list[tuple[int, ...]] = []
-    truncated = False
-
-    def consume(chunk_result: list[tuple[int, ...]]) -> bool:
-        nonlocal truncated
-        for c in chunk_result:
-            if c in seen:
-                continue
-            seen.add(c)
-            ordered.append(c)
-            if spec.max_models is not None and len(ordered) >= spec.max_models:
-                truncated = True
-                return False
-        if spec.time_budget is not None and time.monotonic() - t0 > spec.time_budget:
-            truncated = True
-            return False
-        return True
-
-    if spec.workers > 1 and len(args) > 1:
-        with Pool(spec.workers) as pool:
-            for result in pool.imap(_enumerate_chunk, args):
-                if not consume(result):
-                    pool.terminate()
-                    break
-    else:
-        for a in args:
-            if not consume(_enumerate_chunk(a)):
-                break
-    return ordered, truncated, time.monotonic() - t0
+    with Pool(spec.workers) if pooled else nullcontext() as pool:
+        results = pool.imap(_enumerate_chunk, args) if pooled else map(_enumerate_chunk, args)
+        for result in results:
+            for c in result:
+                if c in seen:
+                    continue
+                seen.add(c)
+                ordered.append(c)
+                if spec.max_models is not None and len(ordered) >= spec.max_models:
+                    return ordered, True, time.monotonic() - t0
+            if spec.time_budget is not None and time.monotonic() - t0 > spec.time_budget:
+                return ordered, True, time.monotonic() - t0
+    return ordered, False, time.monotonic() - t0
 
 
 def enumerate_models(spec: SearchSpec) -> SearchResult:

@@ -189,7 +189,7 @@ def sweep_cap() -> int:
     try:
         return int(raw)
     except ValueError:
-        return DEFAULT_SWEEP_CAP
+        raise CapacityError(f"{SWEEP_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 def all_nonempty_subsets(g: GammaGroupoid) -> list[Subset]:

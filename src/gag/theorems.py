@@ -789,7 +789,7 @@ def model_hash(g: GammaGroupoid) -> str:
 def suite_to_json_obj(g: GammaGroupoid, reports: Sequence[TheoremReport]) -> dict:
     return {
         "model-hash": model_hash(g),
-        "axiom-profile": axiom_profile(g).to_json_obj(),
+        "axiom-profile": _ctx(g).profile.to_json_obj(),
         "reports": [r.to_json_obj() for r in reports],
     }
 

@@ -302,6 +302,24 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "search", "--order", "two")
         assert code == 64
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            ("--order 2 --limit 0", "max_models must be at least 1"),
+            ("--order 2 --workers 0", "workers must be at least 1"),
+            ("--order 0", "order and operator count must be at least 1"),
+            ("--order 2 --gammas 0", "order and operator count must be at least 1"),
+            ("--order 2 --time-budget -1", "time_budget must be positive"),
+        ],
+        ids=["limit", "workers", "order", "gammas", "time-budget"],
+    )
+    def test_search_out_of_range_value(self, capsys, flags, message):
+        code, out, err = run(capsys, "search", *flags.split())
+        assert code == 64
+        assert message in err
+        assert "Traceback" not in err
+        assert out == ""
+
 
 class TestDataErrors:
     def test_malformed_stdin(self, capsys, monkeypatch):
@@ -332,6 +350,16 @@ class TestDataErrors:
         code, _, err = run(capsys, "ideals", str(path), "--kind", "left")
         assert code == 65
         assert "GAG_SWEEP_CAP" in err
+
+    def test_sweep_cap_not_an_integer(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("GAG_SWEEP_CAP", "abc")
+        # Fresh table, as above: a memoized family never reads the cap.
+        path = tmp_path / "fresh.gag"
+        path.write_text(serialize_model(GammaGroupoid(6, 1, (5,) * 36)))
+        code, _, err = run(capsys, "ideals", str(path), "--kind", "left")
+        assert code == 65
+        assert "GAG_SWEEP_CAP" in err
+        assert "'abc'" in err
 
     def test_search_too_large(self, capsys):
         code, _, err = run(capsys, "search", "--order", "7")

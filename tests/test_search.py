@@ -125,6 +125,19 @@ def test_workers_do_not_change_results():
     assert cut1.count == 7
 
 
+def test_time_budget_truncates_to_a_subset():
+    # Budgeted runs stop after the first chunk here; how much that chunk
+    # finds depends on the worker count, so no exact count is asserted.
+    full = {g.table for g in enumerate_models(SearchSpec(n=4, m=1)).models}
+    assert len(full) == 331
+    for workers in (1, 2):
+        spec = SearchSpec(n=4, m=1, time_budget=1e-9, workers=workers)
+        cut = enumerate_models(spec)
+        assert cut.truncated
+        assert cut.count < 331
+        assert {g.table for g in cut.models} <= full
+
+
 def test_max_models_prefix_of_full_run():
     full = enumerate_models(SearchSpec(n=3, m=1, axioms=AG))
     cut = enumerate_models(SearchSpec(n=3, m=1, axioms=AG, max_models=5))

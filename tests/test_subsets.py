@@ -159,7 +159,8 @@ def test_sweep_cap_env(monkeypatch):
     assert sweep_cap() == 13
     assert len(all_nonempty_subsets(big)) == (1 << 13) - 1
     monkeypatch.setenv("GAG_SWEEP_CAP", "not-a-number")
-    assert sweep_cap() == 12
+    with pytest.raises(CapacityError):
+        sweep_cap()
 
 
 def test_list_subsets_satisfying(m5):
