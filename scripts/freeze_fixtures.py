@@ -10,6 +10,8 @@ change to the law deciders, the subset algebra, or the canonical form.
 import argparse
 import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import sys
 import time
@@ -18,6 +20,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import gag.theorems as theorems
+from gag.cli import main as gag_main
+from gag.fileformat import serialize_model
 from gag.fixtures import paper_example
 from gag.model import GammaGroupoid, all_models
 from gag.search import (
@@ -34,6 +38,10 @@ GRID = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)]
 
 # converse-capable checks hunted for gap witnesses
 HUNTED = ("JI", "II", "IFFFF", "SLA2", "RSEMIPRIME_EQ", "RINTL", "LRL", "BIIID")
+
+# orders of the intra-regular model x.y = y - x mod n whose verify output
+# is frozen; 12 is the default subset sweep cap
+LARGE_ORDERS = (9, 10, 11, 12)
 
 
 def freeze_enum_counts(out: Path) -> None:
@@ -159,6 +167,36 @@ def freeze_guard_open_suite(out: Path) -> None:
     print(f"wrote {out}")
 
 
+def difference_model(n: int) -> GammaGroupoid:
+    """x.y = y - x mod n on one operator."""
+    return GammaGroupoid(n, 1, tuple((y - x) % n for x in range(n) for y in range(n)))
+
+
+def freeze_large_suite(out: Path) -> None:
+    """Archive the sha256 and exit code of `gag verify --json` on the
+    difference model at each of LARGE_ORDERS."""
+    rows = []
+    for n in LARGE_ORDERS:
+        t0 = time.time()
+        stdout = io.StringIO()
+        real_stdin, sys.stdin = sys.stdin, io.StringIO(serialize_model(difference_model(n)))
+        try:
+            with contextlib.redirect_stdout(stdout):
+                code = gag_main(["verify", "--json", "-"])
+        finally:
+            sys.stdin = real_stdin
+        digest = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
+        rows.append({"order": n, "exit": code, "sha256": digest})
+        print(f"  verify n={n}: exit {code} ({time.time() - t0:.1f}s)")
+    doc = {
+        "comment": "sha256 of the stdout of `gag verify --json -` and its exit code "
+        "on x.y = y - x mod n (one operator, default labels)",
+        "models": rows,
+    }
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {out}")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument(
@@ -168,7 +206,7 @@ def main() -> int:
     )
     ap.add_argument(
         "--only",
-        choices=("counts", "suite", "hunts", "guard-open"),
+        choices=("counts", "suite", "hunts", "guard-open", "large"),
         help="regenerate a single fixture",
     )
     args = ap.parse_args()
@@ -181,6 +219,8 @@ def main() -> int:
         freeze_gap_hunts(args.data_dir / "gap_hunts.json")
     if args.only in (None, "guard-open"):
         freeze_guard_open_suite(args.data_dir / "guard_open_suite.json")
+    if args.only in (None, "large"):
+        freeze_large_suite(args.data_dir / "large_suite.json")
     return 0
 
 

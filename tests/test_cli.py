@@ -1,8 +1,11 @@
 """Command line driver: exit codes, output formats, determinism."""
 
+import hashlib
+import io
 import json
 
 import pytest
+from conftest import load_data
 
 from gag import GammaGroupoid, parse_model, parse_models, serialize_model
 from gag.cli import main
@@ -240,6 +243,17 @@ def test_search_hunt_clean_exits_0(capsys):
     )
     assert code == 0
     assert "found=false" in out
+
+
+@pytest.mark.parametrize("row", load_data("large_suite.json")["models"], ids=lambda r: f"n{r['order']}")
+def test_verify_large_matches_frozen_fixture(capsys, monkeypatch, row):
+    # x.y = y - x mod n at orders 9..12, up to the default sweep cap.
+    n = row["order"]
+    g = GammaGroupoid(n, 1, tuple((y - x) % n for x in range(n) for y in range(n)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_model(g)))
+    code, out, _ = run(capsys, "verify", "--json", "-")
+    assert code == row["exit"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == row["sha256"]
 
 
 def test_canon(capsys, tmp_path):
