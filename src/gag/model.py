@@ -21,9 +21,10 @@ throughout; one additionally satisfying the ag-star-star law is the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 def _default_element_labels(n: int) -> tuple[str, ...]:
@@ -36,6 +37,18 @@ def _default_element_labels(n: int) -> tuple[str, ...]:
 
 def _default_gamma_labels(m: int) -> tuple[str, ...]:
     return tuple(f"g{k}" for k in range(m))
+
+
+class ProductMasks(NamedTuple):
+    """Bitmasks of the complexwise products of single elements.
+
+    cells[x][y] has bit z set iff z == x *_k y for some operator k;
+    rows[x] is the mask of x*S and cols[y] the mask of S*y.
+    """
+
+    cells: tuple[tuple[int, ...], ...]
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -101,6 +114,29 @@ class GammaGroupoid:
         if not (0 <= k < self.m):
             raise ValueError(f"operator index out of range 0..{self.m - 1}")
         return self.table[(x * self.m + k) * self.n + y]
+
+    @cached_property
+    def product_masks(self) -> ProductMasks:
+        """Product masks of the table, built on first use and kept in the
+        instance __dict__, so they never enter ==, hash or repr."""
+        n, m, t = self.n, self.m, self.table
+        cells = []
+        for x in range(n):
+            row = [0] * n
+            for k in range(m):
+                base = (x * m + k) * n
+                for y in range(n):
+                    row[y] |= 1 << t[base + y]
+            cells.append(tuple(row))
+        rows = []
+        cols = [0] * n
+        for row in cells:
+            acc = 0
+            for y, cell in enumerate(row):
+                acc |= cell
+                cols[y] |= cell
+            rows.append(acc)
+        return ProductMasks(tuple(cells), tuple(rows), tuple(cols))
 
     def tables(self) -> list[list[list[int]]]:
         """Nested view: tables()[k][x][y] == x *_k y."""

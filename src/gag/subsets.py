@@ -5,15 +5,23 @@ subsets are equal iff they have the same size bound and the same
 members.  The complexwise product A*B collects every a *_k b with a in
 A, b in B and k ranging over all operators.
 
+Products are unions of precomputed masks.  Each model builds, on first
+use, the mask of {x *_k y : k in Gamma} for every pair (x, y), of x*S
+for every x and of S*y for every y (`GammaGroupoid.product_masks`).  So
+A*S is the OR of the row masks of A's members, S*B the OR of the column
+masks of B's members, and any other A*B one OR per pair of members.
+
 Exhaustive sweeps over all non-empty subsets are guarded by a capacity
 cap (default 12 elements, override with the GAG_SWEEP_CAP environment
-variable) since they walk 2**n - 1 subsets.
+variable) since they walk 2**n - 1 subsets.  Their canonical order is
+computed once per carrier size; the cap is still checked on every sweep.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .model import GammaGroupoid
@@ -32,6 +40,16 @@ class EmptySubsetError(ValueError):
 
 class CapacityError(ValueError):
     """A sweep over all subsets would exceed the configured cap."""
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True, order=False)
@@ -69,7 +87,7 @@ class Subset:
         return cls.from_members(n, (x,))
 
     def members(self) -> tuple[int, ...]:
-        return tuple(x for x in range(self.n) if self.mask >> x & 1)
+        return tuple(_bits(self.mask))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members())
@@ -126,15 +144,22 @@ def subset_product(g: GammaGroupoid, a: Subset, b: Subset) -> Subset:
     """{x *_k y : x in a, k in Gamma, y in b}.  Empty inputs give empty."""
     _check_model_subset(g, a)
     _check_model_subset(g, b)
-    n, m, t = g.n, g.m, g.table
+    cells, rows, cols = g.product_masks
+    full = (1 << g.n) - 1
     out = 0
-    bm = b.members()
-    for x in a.members():
-        for k in range(m):
-            base = (x * m + k) * n
+    if b.mask == full:
+        for x in _bits(a.mask):
+            out |= rows[x]
+    elif a.mask == full:
+        for y in _bits(b.mask):
+            out |= cols[y]
+    else:
+        bm = _bits(b.mask)
+        for x in _bits(a.mask):
+            row = cells[x]
             for y in bm:
-                out |= 1 << t[base + y]
-    return Subset(n, out)
+                out |= row[y]
+    return Subset(g.n, out)
 
 
 def square(g: GammaGroupoid, a: Subset) -> Subset:
@@ -192,18 +217,23 @@ def sweep_cap() -> int:
         raise CapacityError(f"{SWEEP_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
+@lru_cache(maxsize=None)
+def _sweep_order(n: int) -> tuple[Subset, ...]:
+    subs = [Subset(n, mask) for mask in range(1, 1 << n)]
+    subs.sort(key=Subset.members)
+    return tuple(subs)
+
+
 def all_nonempty_subsets(g: GammaGroupoid) -> list[Subset]:
     """All non-empty subsets in canonical ascending order (by sorted
-    member tuple).  Guarded by the sweep cap."""
+    member tuple), as a fresh list.  Guarded by the sweep cap."""
     cap = sweep_cap()
     if g.n > cap:
         raise CapacityError(
             f"carrier size {g.n} exceeds the subset sweep cap {cap}; "
             f"use generated ideals (--generated-from) or raise {SWEEP_CAP_ENV}"
         )
-    subs = [Subset(g.n, mask) for mask in range(1, 1 << g.n)]
-    subs.sort(key=lambda s: s.members())
-    return subs
+    return list(_sweep_order(g.n))
 
 
 def list_subsets_satisfying(

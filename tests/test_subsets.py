@@ -1,5 +1,6 @@
 """Subset algebra: products, generated ideals, sweeps."""
 
+import json
 from itertools import product as iproduct
 
 import pytest
@@ -17,6 +18,8 @@ from gag import (
     generated_right_ideal,
     generated_two_sided_ideal,
     list_subsets_satisfying,
+    model_to_json_obj,
+    serialize_model,
     square,
     subset_product,
     sweep_cap,
@@ -91,13 +94,47 @@ def test_m5_products(m5):
     assert subset_product(m5, b, s) == s
 
 
-@settings(max_examples=150)
-@given(models(), st.data())
+def _operands(n):
+    # Half the draws are the empty set or the whole carrier, so A = S,
+    # B = S, both, and empty operands all come up often.
+    full = (1 << n) - 1
+    return st.one_of(st.sampled_from([0, full]), st.integers(0, full)).map(
+        lambda mask: Subset(n, mask)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(models(max_n=8, max_m=3), st.data())
 def test_product_matches_brute_force(g, data):
-    a = Subset(g.n, data.draw(st.integers(0, (1 << g.n) - 1)))
-    b = Subset(g.n, data.draw(st.integers(0, (1 << g.n) - 1)))
+    a = data.draw(_operands(g.n))
+    b = data.draw(_operands(g.n))
     assert subset_product(g, a, b) == _brute_product(g, a, b)
     assert square(g, a) == _brute_product(g, a, a)
+
+
+def test_same_order_models_keep_their_own_products():
+    # Left and right projection on four elements, used alternately: a
+    # product cache keyed by carrier size would hand one the other's masks.
+    left = GammaGroupoid(4, 1, tuple(x for x in range(4) for y in range(4)))
+    right = GammaGroupoid(4, 1, tuple(y for x in range(4) for y in range(4)))
+    a, b, s = _members(4, 0, 1), _members(4, 2), Subset.full(4)
+    for _ in range(2):
+        for g in (left, right):
+            for x, y in [(a, b), (a, s), (s, b), (s, s)]:
+                assert subset_product(g, x, y) == _brute_product(g, x, y)
+    assert subset_product(left, a, b) == a
+    assert subset_product(right, a, b) == b
+
+
+def test_product_masks_stay_out_of_value_semantics():
+    g = GammaGroupoid(3, 2, (0, 1, 2, 2, 1, 0) * 3)
+    fresh = GammaGroupoid(3, 2, g.table)
+    subset_product(g, _members(3, 0, 2), Subset.full(3))
+    assert "product_masks" in vars(g) and "product_masks" not in vars(fresh)
+    assert g == fresh and hash(g) == hash(fresh)
+    assert repr(g) == repr(fresh)
+    assert serialize_model(g) == serialize_model(fresh)
+    assert json.dumps(model_to_json_obj(g)) == json.dumps(model_to_json_obj(fresh))
 
 
 def test_product_rejects_foreign_subset(m5):
@@ -149,6 +186,14 @@ def test_all_nonempty_subsets_canonical_order(m5):
     assert keys[0] == (0,)
     assert keys[1] == (0, 1)
     assert keys[-1] == (4,)
+
+
+def test_all_nonempty_subsets_returns_a_fresh_list(m5):
+    first = all_nonempty_subsets(m5)
+    expected = list(first)
+    first.reverse()
+    first.append(Subset.empty(5))
+    assert all_nonempty_subsets(m5) == expected
 
 
 def test_sweep_cap_env(monkeypatch):
