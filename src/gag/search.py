@@ -40,6 +40,14 @@ class SizeGuardError(ValueError):
     pass
 
 
+def _check_canon_size(n: int, m: int) -> None:
+    if n > MAX_CANON_N or m > MAX_CANON_M:
+        raise SizeGuardError(
+            f"canonicalization guarded at n<={MAX_CANON_N}, m<={MAX_CANON_M}; "
+            f"got n={n}, m={m}"
+        )
+
+
 @dataclass(frozen=True)
 class SearchSpec:
     """Parameters of one enumeration or hunt.
@@ -62,8 +70,10 @@ class SearchSpec:
     workers: int = 1
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError("order and operator count must be at least 1")
+        if self.n < 1:
+            raise ValueError("n (--order) must be at least 1")
+        if self.m < 1:
+            raise ValueError("m (--gammas) must be at least 1")
         axioms = frozenset(self.axioms)
         unknown = axioms - set(AXIOM_NAMES)
         if unknown:
@@ -78,11 +88,11 @@ class SearchSpec:
         if self.target == "find-counterexample" and self.theorem is None:
             raise ValueError("find-counterexample target needs a theorem")
         if self.max_models is not None and self.max_models < 1:
-            raise ValueError("max_models must be at least 1")
+            raise ValueError("max_models (--limit) must be at least 1")
         if self.time_budget is not None and self.time_budget <= 0:
-            raise ValueError("time_budget must be positive")
+            raise ValueError("time_budget (--time-budget) must be positive")
         if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+            raise ValueError("workers (--workers) must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -112,11 +122,7 @@ def canonicalize(g: GammaGroupoid) -> tuple[int, ...]:
     """Lexicographically least flat table over all simultaneous
     relabelings of elements and operators.  Two models are isomorphic
     iff their canonical forms are equal."""
-    if g.n > MAX_CANON_N or g.m > MAX_CANON_M:
-        raise SizeGuardError(
-            f"canonicalization guarded at n<={MAX_CANON_N}, m<={MAX_CANON_M}; "
-            f"got n={g.n}, m={g.m}"
-        )
+    _check_canon_size(g.n, g.m)
     n, m, t = g.n, g.m, g.table
     best: Optional[tuple[int, ...]] = None
     for p in itertools.permutations(range(n)):  # p[i] = old element at new slot i
@@ -260,8 +266,10 @@ def _scan(spec: SearchSpec) -> tuple[list[tuple[int, ...]], bool, float]:
     truncated=True means a limit stopped the scan early; the collected
     set may then be incomplete.  The set and its order are independent
     of the worker count; time-budget runs are the documented exception
-    to reproducibility.
+    to reproducibility.  Orders and operator counts past the
+    canonicalization guard are refused before any work starts.
     """
+    _check_canon_size(spec.n, spec.m)
     t0 = time.monotonic()
     chunks = _chunked_prefixes(spec.n, spec.workers)
     args = [(spec.n, spec.m, spec.axioms, spec.filter, chunk) for chunk in chunks]
@@ -270,7 +278,7 @@ def _scan(spec: SearchSpec) -> tuple[list[tuple[int, ...]], bool, float]:
     ordered: list[tuple[int, ...]] = []
     with Pool(spec.workers) if pooled else nullcontext() as pool:
         results = pool.imap(_enumerate_chunk, args) if pooled else map(_enumerate_chunk, args)
-        for result in results:
+        for done, result in enumerate(results, 1):
             for c in result:
                 if c in seen:
                     continue
@@ -278,7 +286,11 @@ def _scan(spec: SearchSpec) -> tuple[list[tuple[int, ...]], bool, float]:
                 ordered.append(c)
                 if spec.max_models is not None and len(ordered) >= spec.max_models:
                     return ordered, True, time.monotonic() - t0
-            if spec.time_budget is not None and time.monotonic() - t0 > spec.time_budget:
+            if (
+                done < len(args)
+                and spec.time_budget is not None
+                and time.monotonic() - t0 > spec.time_budget
+            ):
                 return ordered, True, time.monotonic() - t0
     return ordered, False, time.monotonic() - t0
 

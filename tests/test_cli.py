@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import time
 
 import pytest
 from conftest import load_data
@@ -319,11 +320,11 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "flags,message",
         [
-            ("--order 2 --limit 0", "max_models must be at least 1"),
-            ("--order 2 --workers 0", "workers must be at least 1"),
-            ("--order 0", "order and operator count must be at least 1"),
-            ("--order 2 --gammas 0", "order and operator count must be at least 1"),
-            ("--order 2 --time-budget -1", "time_budget must be positive"),
+            ("--order 2 --limit 0", "max_models (--limit) must be at least 1"),
+            ("--order 2 --workers 0", "workers (--workers) must be at least 1"),
+            ("--order 0", "n (--order) must be at least 1"),
+            ("--order 2 --gammas 0", "m (--gammas) must be at least 1"),
+            ("--order 2 --time-budget -1", "time_budget (--time-budget) must be positive"),
         ],
         ids=["limit", "workers", "order", "gammas", "time-budget"],
     )
@@ -378,3 +379,16 @@ class TestDataErrors:
     def test_search_too_large(self, capsys):
         code, _, err = run(capsys, "search", "--order", "7")
         assert code == 65
+
+    @pytest.mark.parametrize(
+        "flags",
+        ["--order 7 --filter intra-regular --count", "--order 2 --gammas 4"],
+        ids=["order", "gammas"],
+    )
+    def test_search_size_guard_is_up_front(self, capsys, flags):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "search", *flags.split())
+        assert time.monotonic() - t0 < 1.0
+        assert code == 65
+        assert "canonicalization guarded at n<=6, m<=3" in err
+        assert out == ""

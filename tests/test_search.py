@@ -138,6 +138,14 @@ def test_time_budget_truncates_to_a_subset():
         assert {g.table for g in cut.models} <= full
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_time_budget_spent_after_the_last_chunk_is_not_a_truncation(workers):
+    # One prefix, so one chunk: once it is in, nothing was cut short.
+    res = count_models(SearchSpec(n=1, m=1, time_budget=1e-9, workers=workers))
+    assert res.count == 1
+    assert not res.truncated
+
+
 def test_max_models_prefix_of_full_run():
     full = enumerate_models(SearchSpec(n=3, m=1, axioms=AG))
     cut = enumerate_models(SearchSpec(n=3, m=1, axioms=AG, max_models=5))
