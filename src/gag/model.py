@@ -22,8 +22,9 @@ throughout; one additionally satisfying the ag-star-star law is the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product as iproduct
+from operator import or_
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
@@ -128,15 +129,9 @@ class GammaGroupoid:
                 for y in range(n):
                     row[y] |= 1 << t[base + y]
             cells.append(tuple(row))
-        rows = []
-        cols = [0] * n
-        for row in cells:
-            acc = 0
-            for y, cell in enumerate(row):
-                acc |= cell
-                cols[y] |= cell
-            rows.append(acc)
-        return ProductMasks(tuple(cells), tuple(rows), tuple(cols))
+        rows = tuple(reduce(or_, row) for row in cells)
+        cols = tuple(reduce(or_, (row[y] for row in cells)) for y in range(n))
+        return ProductMasks(tuple(cells), rows, cols)
 
     def tables(self) -> list[list[list[int]]]:
         """Nested view: tables()[k][x][y] == x *_k y."""
