@@ -22,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import gag.theorems as theorems
 from gag.cli import main as gag_main
 from gag.fileformat import serialize_model
-from gag.fixtures import paper_example
+from gag.fixtures import PAPER_EXAMPLE_TOKEN, paper_example
 from gag.model import GammaGroupoid, all_models
 from gag.search import (
     AXIOM_SETS,
@@ -172,20 +172,25 @@ def difference_model(n: int) -> GammaGroupoid:
     return GammaGroupoid(n, 1, tuple((y - x) % n for x in range(n) for y in range(n)))
 
 
+def _cli_digest(argv: list[str], stdin_text: str = "") -> tuple[int, str]:
+    """Exit code and stdout sha256 of one in-process `gag` run."""
+    stdout = io.StringIO()
+    real_stdin, sys.stdin = sys.stdin, io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = gag_main(argv)
+    finally:
+        sys.stdin = real_stdin
+    return code, hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
+
+
 def freeze_large_suite(out: Path) -> None:
     """Archive the sha256 and exit code of `gag verify --json` on the
     difference model at each of LARGE_ORDERS."""
     rows = []
     for n in LARGE_ORDERS:
         t0 = time.time()
-        stdout = io.StringIO()
-        real_stdin, sys.stdin = sys.stdin, io.StringIO(serialize_model(difference_model(n)))
-        try:
-            with contextlib.redirect_stdout(stdout):
-                code = gag_main(["verify", "--json", "-"])
-        finally:
-            sys.stdin = real_stdin
-        digest = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
+        code, digest = _cli_digest(["verify", "--json", "-"], serialize_model(difference_model(n)))
         rows.append({"order": n, "exit": code, "sha256": digest})
         print(f"  verify n={n}: exit {code} ({time.time() - t0:.1f}s)")
     doc = {
@@ -194,6 +199,65 @@ def freeze_large_suite(out: Path) -> None:
         "models": rows,
     }
     out.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {out}")
+
+
+def cli_commands(first: str) -> list[list[str]]:
+    """The frozen subcommand lines; `first` is the model's first element."""
+    generated = [
+        ["ideals", "--kind", kind, "--generated-from", first] + json_flag
+        for kind in ("left", "right", "two-sided")
+        for json_flag in ([], ["--json"])
+    ]
+    return [
+        ["check"], ["check", "--json"],
+        ["intra"], ["intra", "--json"],
+        ["ideals", "--kind", "all"], ["ideals", "--kind", "all", "--json"],
+        ["ideals", "--kind", "two-sided"], ["ideals", "--kind", "two-sided", "--json"],
+        *generated,
+        ["canon", "--json"],
+    ]
+
+
+def cli_models() -> list[dict]:
+    """(order, gammas, table) of every frozen model, @paper-example last."""
+    spaces = [(2, 1, frozenset()), (3, 1, AXIOM_SETS["ag"]), (2, 2, AXIOM_SETS["ag"])]
+    rows = []
+    for n, m, axioms in spaces:
+        for g in enumerate_models(SearchSpec(n=n, m=m, axioms=axioms)).models:
+            rows.append({"order": n, "gammas": m, "table": list(g.table)})
+    rows.append({"model": PAPER_EXAMPLE_TOKEN})
+    return rows
+
+
+def cli_digests(row: dict) -> list[dict]:
+    """Run every frozen command on one fixture model."""
+    if "model" in row:
+        ref, text, first = row["model"], "", paper_example().element_labels[0]
+    else:
+        g = GammaGroupoid(row["order"], row["gammas"], tuple(row["table"]))
+        ref, text, first = "-", serialize_model(g), g.element_labels[0]
+    out = []
+    for cmd in cli_commands(first):
+        code, digest = _cli_digest(cmd + [ref], text)
+        out.append({"argv": cmd, "exit": code, "sha256": digest})
+    return out
+
+
+def freeze_cli_outputs(out: Path) -> None:
+    """Archive the stdout sha256 and exit code of the model-level
+    subcommands on every class of three small spaces and the example."""
+    t0 = time.time()
+    rows = [dict(row, outputs=cli_digests(row)) for row in cli_models()]
+    doc = {
+        "comment": "sha256 of stdout and exit code of `gag <argv> <model>` on the "
+        "order-2 classes with no axioms, the order-3 ag classes, the order-2 "
+        "two-operator ag classes (each read from stdin, default labels) "
+        "and @paper-example",
+        "models": rows,
+    }
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"  {len(rows)} models ({time.time() - t0:.1f}s)")
     print(f"wrote {out}")
 
 
@@ -206,7 +270,7 @@ def main() -> int:
     )
     ap.add_argument(
         "--only",
-        choices=("counts", "suite", "hunts", "guard-open", "large"),
+        choices=("counts", "suite", "hunts", "guard-open", "large", "cli"),
         help="regenerate a single fixture",
     )
     args = ap.parse_args()
@@ -221,6 +285,8 @@ def main() -> int:
         freeze_guard_open_suite(args.data_dir / "guard_open_suite.json")
     if args.only in (None, "large"):
         freeze_large_suite(args.data_dir / "large_suite.json")
+    if args.only in (None, "cli"):
+        freeze_cli_outputs(args.data_dir / "cli_outputs.json")
     return 0
 
 

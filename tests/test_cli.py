@@ -257,6 +257,28 @@ def test_verify_large_matches_frozen_fixture(capsys, monkeypatch, row):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == row["sha256"]
 
 
+def _cli_fixture_id(row):
+    if "model" in row:
+        return row["model"]
+    return f"n{row['order']}m{row['gammas']}-" + "".join(map(str, row["table"]))
+
+
+@pytest.mark.parametrize("row", load_data("cli_outputs.json")["models"], ids=_cli_fixture_id)
+def test_cli_matches_frozen_fixture(capsys, monkeypatch, row):
+    # check, intra, ideals and canon on small classes and the example,
+    # byte for byte; tables are read from stdin with default labels.
+    if "model" in row:
+        ref, text = row["model"], ""
+    else:
+        g = GammaGroupoid(row["order"], row["gammas"], tuple(row["table"]))
+        ref, text = "-", serialize_model(g)
+    for want in row["outputs"]:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = run(capsys, *want["argv"], ref)
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert (code, digest) == (want["exit"], want["sha256"]), want["argv"]
+
+
 def test_canon(capsys, tmp_path):
     code, out, _ = run(capsys, "canon", M5)
     assert code == 0

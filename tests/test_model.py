@@ -78,6 +78,47 @@ def test_left_invertive_witness_is_least_violation(g):
         assert chk.witness == min(bad)
 
 
+def _brute_violations(g, n_elements, n_ops, law):
+    # Every (elements..., operators...) tuple on which law's two sides
+    # differ, in lexicographic order.
+    return [
+        w for w in iproduct(*[range(g.n)] * n_elements, *[range(g.m)] * n_ops)
+        if not law(g.product, *w)
+    ]
+
+
+def _medial(p, x, y, l, w, a, b, c):
+    return p(p(x, a, y), b, p(l, c, w)) == p(p(x, a, l), b, p(y, c, w))
+
+
+def _paramedial(p, x, y, l, w, a, b, c):
+    return p(p(x, a, y), b, p(l, c, w)) == p(p(w, a, l), b, p(y, c, x))
+
+
+def _ag_star_star(p, x, y, z, a, b):
+    return p(x, a, p(y, b, z)) == p(y, a, p(x, b, z))
+
+
+@pytest.mark.parametrize(
+    "decide, n_elements, n_ops, law",
+    [
+        (is_medial, 4, 3, _medial),
+        (is_paramedial, 4, 3, _paramedial),
+        (is_ag_star_star, 3, 2, _ag_star_star),
+    ],
+    ids=["medial", "paramedial", "ag-star-star"],
+)
+@settings(max_examples=100, deadline=None)
+@given(g=models())
+def test_witness_is_least_violation(decide, n_elements, n_ops, law, g):
+    chk = decide(g)
+    bad = _brute_violations(g, n_elements, n_ops, law)
+    if chk:
+        assert bad == []
+    else:
+        assert chk.witness == min(bad)
+
+
 @settings(max_examples=150)
 @given(models())
 def test_ag_star_star_witness_violates_law(g):
