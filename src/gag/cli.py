@@ -25,16 +25,17 @@ from .fileformat import (
     serialize_model,
 )
 from .fixtures import PAPER_EXAMPLE_TOKEN, paper_example_text
-from .ideals import IdealKind, ideal_family, kind_predicate
+from .ideals import IdealKind, ideal_family
 from .model import (
+    AxiomProfile,
     GammaGroupoid,
-    axiom_profile,
     is_ag_star_star,
     is_left_invertive,
     is_medial,
     is_paramedial,
+    left_identities,
 )
-from .regularity import format_witness, intra_witness, is_intra_regular
+from .regularity import format_witness, is_intra_regular
 from .search import (
     AXIOM_SETS,
     FILTER_NAMES,
@@ -108,7 +109,7 @@ def _witness_parts(g: GammaGroupoid, law: str, w: tuple[int, ...]) -> dict[str, 
 def cmd_check(args) -> int:
     g = _load_model(args.model)
     checks = [is_left_invertive(g), is_medial(g), is_ag_star_star(g), is_paramedial(g)]
-    profile = axiom_profile(g)
+    profile = AxiomProfile(*(c.holds for c in checks), tuple(left_identities(g)))
     if args.json:
         obj = {"model": model_to_json_obj(g), "profile": profile.to_json_obj()}
         bad = {
@@ -129,6 +130,12 @@ def cmd_check(args) -> int:
         ids = [g.element_labels[e] for e in profile.left_identities]
         print("left-identities:", " ".join(ids) if ids else "none")
     return 0 if profile.left_invertive else 3
+
+
+def _print_family(g: GammaGroupoid, kind: IdealKind, fam) -> None:
+    print(f"{kind.value} ({len(fam)}):")
+    for a in fam:
+        print(f"  {a.format(g.element_labels)}")
 
 
 def _family_json(g: GammaGroupoid, fam) -> list[list[str]]:
@@ -207,24 +214,19 @@ def cmd_ideals(args) -> int:
             )
         else:
             for kind in IdealKind:
-                fam = families[kind]
-                print(f"{kind.value} ({len(fam)}):")
-                for a in fam:
-                    print(f"  {a.format(g.element_labels)}")
+                _print_family(g, kind, families[kind])
             for grp in _coinciding_groups(families):
                 print("coinciding:", " = ".join(grp))
         return 0
 
-    kind = IdealKind.from_cli(args.kind)
+    kind = IdealKind(args.kind)
     fam = ideal_family(g, kind)
     if args.dot:
         sys.stdout.write(_dot_containment(g, fam))
     elif args.json:
         _emit_json({"kind": kind.value, "family": _family_json(g, fam)})
     else:
-        print(f"{kind.value} ({len(fam)}):")
-        for a in fam:
-            print(f"  {a.format(g.element_labels)}")
+        _print_family(g, kind, fam)
     return 0
 
 
@@ -233,8 +235,7 @@ def cmd_intra(args) -> int:
     report = is_intra_regular(g)
     if args.json:
         witnesses = {}
-        for a in range(g.n):
-            w = intra_witness(g, a)
+        for a, w in enumerate(report.witnesses):
             if w is None:
                 witnesses[g.element_labels[a]] = None
             else:
@@ -249,8 +250,7 @@ def cmd_intra(args) -> int:
         _emit_json({"intra-regular": report.holds, "witnesses": witnesses})
     else:
         print(f"intra-regular: {str(report.holds).lower()}")
-        for a in range(g.n):
-            w = intra_witness(g, a)
+        for a, w in enumerate(report.witnesses):
             if w is None:
                 print(f"  {g.element_labels[a]}: no witness")
             else:
@@ -493,18 +493,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
+    except (UsageError, ModelFormatError, CapacityError, SizeGuardError,
+            EmptySubsetError, OSError) as e:
         print(f"gag: error: {e}", file=sys.stderr)
-        return EX_USAGE
-    except ModelFormatError as e:
-        print(f"gag: error: {e}", file=sys.stderr)
-        return EX_DATA
-    except (CapacityError, SizeGuardError, EmptySubsetError) as e:
-        print(f"gag: error: {e}", file=sys.stderr)
-        return EX_DATA
-    except OSError as e:
-        print(f"gag: error: {e}", file=sys.stderr)
-        return EX_DATA
+        return EX_USAGE if isinstance(e, UsageError) else EX_DATA
 
 
 if __name__ == "__main__":

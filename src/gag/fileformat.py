@@ -128,11 +128,7 @@ def parse_model(text: str) -> GammaGroupoid:
     if missing:
         raise ModelFormatError(f"missing table for operator(s): {', '.join(missing)}")
 
-    flat = []
-    for i in range(n):
-        for k in range(m):
-            flat.extend(tables[k][i])
-    return GammaGroupoid(n, m, tuple(flat), tuple(elements), tuple(gammas))
+    return GammaGroupoid.from_tables([tables[k] for k in range(m)], elements, gammas)
 
 
 def serialize_model(g: GammaGroupoid) -> str:
@@ -140,10 +136,9 @@ def serialize_model(g: GammaGroupoid) -> str:
     out = [MAGIC]
     out.append("elements: " + " ".join(g.element_labels))
     out.append("gammas: " + " ".join(g.gamma_labels))
-    for k in range(g.m):
-        out.append(f"table {g.gamma_labels[k]}:")
-        for x in range(g.n):
-            out.append(" ".join(g.element_labels[g.product(x, k, y)] for y in range(g.n)))
+    for name, rows in zip(g.gamma_labels, g.tables()):
+        out.append(f"table {name}:")
+        out.extend(" ".join(g.element_labels[v] for v in row) for row in rows)
     return "\n".join(out) + "\n"
 
 
@@ -154,10 +149,7 @@ def model_to_json_obj(g: GammaGroupoid) -> dict[str, Any]:
         "version": 1,
         "elements": list(labels),
         "gammas": list(g.gamma_labels),
-        "tables": [
-            [[labels[g.product(x, k, y)] for y in range(g.n)] for x in range(g.n)]
-            for k in range(g.m)
-        ],
+        "tables": [[[labels[v] for v in row] for row in t] for t in g.tables()],
     }
 
 

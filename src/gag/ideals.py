@@ -19,13 +19,16 @@ Conventions:
 Prime, semiprime and strongly irreducible are properties OF two-sided
 ideals, quantified over the model's two-sided ideals; they re-verify
 their precondition and raise NotAnIdealError when handed anything else.
+Each quantifier is swept once, by an `*_offender` search that returns
+the first violation and skips the precondition checks; the theorem
+suite calls those searches on subsets it drew from the right families.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Optional
 
 from .model import GammaGroupoid
 from .subsets import (
@@ -51,13 +54,6 @@ class IdealKind(enum.Enum):
     INTERIOR = "interior"
     QUASI = "quasi"
     ONE_TWO = "one-two"
-
-    @classmethod
-    def from_cli(cls, name: str) -> "IdealKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ValueError(f"unknown ideal kind {name!r}")
 
 
 def _validated(g: GammaGroupoid, a: Subset) -> None:
@@ -88,11 +84,7 @@ def is_two_sided_ideal(g: GammaGroupoid, a: Subset) -> bool:
 
 
 def is_bi_ideal(g: GammaGroupoid, a: Subset) -> bool:
-    _validated(g, a)
-    if not (subset_product(g, a, a) <= a):
-        return False
-    asa = subset_product(g, subset_product(g, a, Subset.full(g.n)), a)
-    return asa <= a
+    return is_subgroupoid(g, a) and is_generalized_bi_ideal(g, a)
 
 
 def is_generalized_bi_ideal(g: GammaGroupoid, a: Subset) -> bool:
@@ -102,12 +94,8 @@ def is_generalized_bi_ideal(g: GammaGroupoid, a: Subset) -> bool:
 
 
 def is_interior_ideal(g: GammaGroupoid, a: Subset) -> bool:
-    _validated(g, a)
-    if not (subset_product(g, a, a) <= a):
-        return False
     s = Subset.full(g.n)
-    sas = subset_product(g, subset_product(g, s, a), s)
-    return sas <= a
+    return is_subgroupoid(g, a) and subset_product(g, subset_product(g, s, a), s) <= a
 
 
 def is_quasi_ideal(g: GammaGroupoid, a: Subset) -> bool:
@@ -117,8 +105,7 @@ def is_quasi_ideal(g: GammaGroupoid, a: Subset) -> bool:
 
 
 def is_one_two_ideal(g: GammaGroupoid, a: Subset) -> bool:
-    _validated(g, a)
-    if not (subset_product(g, a, a) <= a):
+    if not is_subgroupoid(g, a):
         return False
     lhs = subset_product(g, subset_product(g, a, Subset.full(g.n)), subset_product(g, a, a))
     return lhs <= a
@@ -165,35 +152,59 @@ def _require_two_sided(g: GammaGroupoid, p: Subset) -> None:
         raise NotAnIdealError("expected a two-sided ideal")
 
 
-def is_prime(g: GammaGroupoid, p: Subset) -> bool:
-    """For all two-sided ideals A, B: A*B <= P implies A <= P or B <= P."""
-    _require_two_sided(g, p)
+def _ideal_pair_offender(g: GammaGroupoid, p: Subset, meet: Callable[[Subset, Subset], Subset]):
     fam = two_sided_ideals(g)
     for a in fam:
         for b in fam:
-            if subset_product(g, a, b) <= p and not (a <= p or b <= p):
-                return False
-    return True
+            if meet(a, b) <= p and not (a <= p or b <= p):
+                return a, b
+    return None
+
+
+def prime_offender(g: GammaGroupoid, p: Subset) -> Optional[tuple[Subset, Subset]]:
+    """First two-sided ideals A, B with A*B <= P but neither inside P."""
+    return _ideal_pair_offender(g, p, lambda a, b: subset_product(g, a, b))
+
+
+def irreducible_offender(g: GammaGroupoid, p: Subset) -> Optional[tuple[Subset, Subset]]:
+    """First two-sided ideals A, B with A & B <= P but neither inside P."""
+    return _ideal_pair_offender(g, p, Subset.__and__)
+
+
+def semiprime_offender(g: GammaGroupoid, p: Subset) -> Optional[Subset]:
+    """First two-sided ideal A with A*A <= P but A not inside P; P may
+    be any subset."""
+    for a in two_sided_ideals(g):
+        if subset_product(g, a, a) <= p and not (a <= p):
+            return a
+    return None
+
+
+def elementwise_offender(g: GammaGroupoid, p: Subset) -> Optional[int]:
+    """First element a with {a}*{a} <= P but a not in P."""
+    for x in range(g.n):
+        sx = Subset.singleton(g.n, x)
+        if subset_product(g, sx, sx) <= p and x not in p:
+            return x
+    return None
+
+
+def is_prime(g: GammaGroupoid, p: Subset) -> bool:
+    """For all two-sided ideals A, B: A*B <= P implies A <= P or B <= P."""
+    _require_two_sided(g, p)
+    return prime_offender(g, p) is None
 
 
 def is_semiprime(g: GammaGroupoid, p: Subset) -> bool:
     """For all two-sided ideals A: A*A <= P implies A <= P."""
     _require_two_sided(g, p)
-    for a in two_sided_ideals(g):
-        if subset_product(g, a, a) <= p and not (a <= p):
-            return False
-    return True
+    return semiprime_offender(g, p) is None
 
 
 def is_strongly_irreducible(g: GammaGroupoid, p: Subset) -> bool:
     """For all two-sided ideals A, B: A & B <= P implies A <= P or B <= P."""
     _require_two_sided(g, p)
-    fam = two_sided_ideals(g)
-    for a in fam:
-        for b in fam:
-            if (a & b) <= p and not (a <= p or b <= p):
-                return False
-    return True
+    return irreducible_offender(g, p) is None
 
 
 def is_elementwise_semiprime(g: GammaGroupoid, p: Subset) -> bool:
@@ -204,8 +215,4 @@ def is_elementwise_semiprime(g: GammaGroupoid, p: Subset) -> bool:
     could differ.  P itself is only required to be a non-empty subset.
     """
     _validated(g, p)
-    for x in range(g.n):
-        sx = Subset.singleton(g.n, x)
-        if subset_product(g, sx, sx) <= p and x not in p:
-            return False
-    return True
+    return elementwise_offender(g, p) is None

@@ -176,26 +176,32 @@ def is_left_invertive(g: GammaGroupoid) -> LawCheck:
     return LawCheck("left-invertive", True)
 
 
-def is_medial(g: GammaGroupoid) -> LawCheck:
-    """(x a y) b (l c m) == (x a l) b (y c m).
-
-    Witness order on failure: (x, y, l, m, a, b, c).
-    """
+def _four_variable_sweep(g: GammaGroupoid, law: str, swap: bool) -> LawCheck:
+    """The medial law, or with swap the paramedial one: they differ only
+    in the outer pair (p, q) of the right-hand side,
+    (x a y) b (l c w) == (p a l) b (y c q) with (p, q) = (x, w) or (w, x).
+    The witness is the least failing (x, y, l, w, a, b, c)."""
     n, m_, t = g.n, g.m, g.table
     for x in range(n):
         for y in range(n):
             for l in range(n):
                 for w in range(n):
+                    p, q = (w, x) if swap else (x, w)
                     for a in range(m_):
                         xy = t[(x * m_ + a) * n + y]
-                        xl = t[(x * m_ + a) * n + l]
+                        pl = t[(p * m_ + a) * n + l]
                         for b in range(m_):
                             for c in range(m_):
                                 lw = t[(l * m_ + c) * n + w]
-                                yw = t[(y * m_ + c) * n + w]
-                                if t[(xy * m_ + b) * n + lw] != t[(xl * m_ + b) * n + yw]:
-                                    return LawCheck("medial", False, (x, y, l, w, a, b, c))
-    return LawCheck("medial", True)
+                                yq = t[(y * m_ + c) * n + q]
+                                if t[(xy * m_ + b) * n + lw] != t[(pl * m_ + b) * n + yq]:
+                                    return LawCheck(law, False, (x, y, l, w, a, b, c))
+    return LawCheck(law, True)
+
+
+def is_medial(g: GammaGroupoid) -> LawCheck:
+    """(x a y) b (l c m) == (x a l) b (y c m); witness (x, y, l, m, a, b, c)."""
+    return _four_variable_sweep(g, "medial", swap=False)
 
 
 def is_ag_star_star(g: GammaGroupoid) -> LawCheck:
@@ -217,25 +223,8 @@ def is_ag_star_star(g: GammaGroupoid) -> LawCheck:
 
 
 def is_paramedial(g: GammaGroupoid) -> LawCheck:
-    """(x a y) b (l c m) == (m a l) b (y c x).
-
-    Witness order on failure: (x, y, l, m, a, b, c).
-    """
-    n, m_, t = g.n, g.m, g.table
-    for x in range(n):
-        for y in range(n):
-            for l in range(n):
-                for w in range(n):
-                    for a in range(m_):
-                        xy = t[(x * m_ + a) * n + y]
-                        wl = t[(w * m_ + a) * n + l]
-                        for b in range(m_):
-                            for c in range(m_):
-                                lw = t[(l * m_ + c) * n + w]
-                                yx = t[(y * m_ + c) * n + x]
-                                if t[(xy * m_ + b) * n + lw] != t[(wl * m_ + b) * n + yx]:
-                                    return LawCheck("paramedial", False, (x, y, l, w, a, b, c))
-    return LawCheck("paramedial", True)
+    """(x a y) b (l c m) == (m a l) b (y c x); witness (x, y, l, m, a, b, c)."""
+    return _four_variable_sweep(g, "paramedial", swap=True)
 
 
 def left_identities(g: GammaGroupoid) -> list[int]:

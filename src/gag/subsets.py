@@ -167,44 +167,39 @@ def square(g: GammaGroupoid, a: Subset) -> Subset:
     return subset_product(g, a, a)
 
 
-def _closure(g: GammaGroupoid, seed: Subset, step: Callable[[Subset], Subset]) -> Subset:
-    # least fixpoint of A -> A | step(A); the chain strictly grows, so
-    # it stabilises within n iterations
-    cur = seed
+def _generated_ideal(g: GammaGroupoid, x: Subset, left: bool, right: bool) -> Subset:
+    """Least A containing x with S*A (if left) and A*S (if right) inside
+    A: the fixpoint of A -> A | S*A | A*S, reached within n steps since
+    the chain strictly grows."""
+    _check_model_subset(g, x)
+    if not x:
+        raise EmptySubsetError("generator set must be non-empty")
+    s = Subset.full(g.n)
+    cur = x
     while True:
-        nxt = cur | step(cur)
+        nxt = cur
+        if left:
+            nxt |= subset_product(g, s, cur)
+        if right:
+            nxt |= subset_product(g, cur, s)
         if nxt == cur:
             return cur
         cur = nxt
 
 
-def _require_nonempty(x: Subset) -> None:
-    if not x:
-        raise EmptySubsetError("generator set must be non-empty")
-
-
 def generated_left_ideal(g: GammaGroupoid, x: Subset) -> Subset:
     """Least A containing x with S*A a subset of A."""
-    _check_model_subset(g, x)
-    _require_nonempty(x)
-    s = Subset.full(g.n)
-    return _closure(g, x, lambda a: subset_product(g, s, a))
+    return _generated_ideal(g, x, left=True, right=False)
 
 
 def generated_right_ideal(g: GammaGroupoid, x: Subset) -> Subset:
     """Least A containing x with A*S a subset of A."""
-    _check_model_subset(g, x)
-    _require_nonempty(x)
-    s = Subset.full(g.n)
-    return _closure(g, x, lambda a: subset_product(g, a, s))
+    return _generated_ideal(g, x, left=False, right=True)
 
 
 def generated_two_sided_ideal(g: GammaGroupoid, x: Subset) -> Subset:
     """Least A containing x closed under products with S on both sides."""
-    _check_model_subset(g, x)
-    _require_nonempty(x)
-    s = Subset.full(g.n)
-    return _closure(g, x, lambda a: subset_product(g, s, a) | subset_product(g, a, s))
+    return _generated_ideal(g, x, left=True, right=True)
 
 
 def sweep_cap() -> int:

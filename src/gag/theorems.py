@@ -29,7 +29,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -412,23 +411,14 @@ def _family_mismatch(c: _Ctx, ka: str, kb: str):
 
 
 def _semiprime_offense(c: _Ctx, r: Subset):
-    """(("a", x),) for the first x with {x}*{x} <= R and x not in R:
-    R is not semiprime elementwise."""
-    for x in range(c.g.n):
-        sx = _single(c, x)
-        if c.prod(sx, sx) <= r and x not in r:
-            return (("a", x),)
-    return None
-
-
-def _ideal_quantified_semiprime(c: _Ctx, p: Subset) -> bool:
-    # Definition-style semiprime with target P an arbitrary subset;
-    # quantifies over the two-sided ideal family
-    return all(not (c.prod(a, a) <= p) or a <= p for a in c.family(IdealKind.TWO_SIDED))
+    """(("a", x),) when R is not semiprime elementwise."""
+    x = ideals.elementwise_offender(c.g, r)
+    return None if x is None else (("a", x),)
 
 
 def _all_ideal_quantified(c: _Ctx, kind: IdealKind) -> bool:
-    return all(_ideal_quantified_semiprime(c, r) for r in c.family(kind))
+    # definition-style semiprime, each member of the family as target P
+    return all(ideals.semiprime_offender(c.g, r) is None for r in c.family(kind))
 
 
 _RLT_PARTS = {"right": IdealKind.RIGHT, "left": IdealKind.LEFT, "two-sided": IdealKind.TWO_SIDED}
@@ -498,23 +488,14 @@ def _lrl_details(c: _Ctx, cx) -> tuple:
 
 
 def _prime_offense(c: _Ctx, p: Subset):
-    """(("A", a), ("B", b)) for the first two-sided A, B with A*B <= P
-    but neither inside P: P is not prime."""
-    fam = c.family(IdealKind.TWO_SIDED)
-    for a in fam:
-        for b in fam:
-            if c.prod(a, b) <= p and not (a <= p or b <= p):
-                return (("A", _ext(a)), ("B", _ext(b)))
-    return None
-
-
-def _strongly_irreducible(c: _Ctx, p: Subset) -> bool:
-    fam = c.family(IdealKind.TWO_SIDED)
-    return all(not ((a & b) <= p) or a <= p or b <= p for a in fam for b in fam)
+    """(("A", a), ("B", b)) when P is not prime."""
+    hit = ideals.prime_offender(c.g, p)
+    return None if hit is None else (("A", _ext(hit[0])), ("B", _ext(hit[1])))
 
 
 def _prime_irr(c: _Ctx, p: Subset):
-    prime, irr = _prime_offense(c, p) is None, _strongly_irreducible(c, p)
+    prime = ideals.prime_offender(c.g, p) is None
+    irr = ideals.irreducible_offender(c.g, p) is None
     if prime == irr:
         return None
     return (("direction", "prime-not-irreducible" if prime else "irreducible-not-prime"),)
@@ -792,10 +773,6 @@ def suite_to_json_obj(g: GammaGroupoid, reports: Sequence[TheoremReport]) -> dic
         "axiom-profile": _ctx(g).profile.to_json_obj(),
         "reports": [r.to_json_obj() for r in reports],
     }
-
-
-def suite_to_json(g: GammaGroupoid, reports: Sequence[TheoremReport]) -> str:
-    return json.dumps(suite_to_json_obj(g, reports), indent=2) + "\n"
 
 
 def suite_exit_code(reports: Sequence[TheoremReport]) -> int:
