@@ -53,10 +53,12 @@ class SearchSpec:
     """Parameters of one enumeration or hunt.
 
     `axioms` is any subset of AXIOM_NAMES; `filter` restricts to models
-    that are (or are not) intra-regular.  `max_models` stops the scan
-    after that many distinct representatives; `time_budget` (seconds)
-    stops it on the clock and makes the run non-reproducible, which is
-    why budgeted runs always set the truncated flag handling below.
+    that are (or are not) intra-regular.  `max_models` keeps at most
+    that many distinct representatives; `time_budget` (seconds) stops
+    the scan on the clock and makes the run non-reproducible.  A result
+    is marked truncated only when a class beyond the limit exists or the
+    budget ran out before the last chunk; a limit met by the last class
+    of the space gives a complete, untruncated result.
     """
 
     n: int
@@ -263,8 +265,9 @@ def _chunked_prefixes(n: int, workers: int) -> list[list[tuple[int, ...]]]:
 def _scan(spec: SearchSpec) -> tuple[list[tuple[int, ...]], bool, float]:
     """Canonical forms in discovery order (first occurrences only).
 
-    truncated=True means a limit stopped the scan early; the collected
-    set may then be incomplete.  The set and its order are independent
+    truncated=True means the collected set is (or, on the clock, may be)
+    incomplete: an unseen class turned up past `max_models`, or the time
+    budget ran out with chunks left.  The set and its order are independent
     of the worker count; time-budget runs are the documented exception
     to reproducibility.  Orders and operator counts past the
     canonicalization guard are refused before any work starts.
@@ -274,25 +277,23 @@ def _scan(spec: SearchSpec) -> tuple[list[tuple[int, ...]], bool, float]:
     chunks = _chunked_prefixes(spec.n, spec.workers)
     args = [(spec.n, spec.m, spec.axioms, spec.filter, chunk) for chunk in chunks]
     pooled = spec.workers > 1 and len(args) > 1
-    seen: set[tuple[int, ...]] = set()
-    ordered: list[tuple[int, ...]] = []
+    seen: dict[tuple[int, ...], None] = {}  # insertion-ordered set
     with Pool(spec.workers) if pooled else nullcontext() as pool:
         results = pool.imap(_enumerate_chunk, args) if pooled else map(_enumerate_chunk, args)
         for done, result in enumerate(results, 1):
             for c in result:
                 if c in seen:
                     continue
-                seen.add(c)
-                ordered.append(c)
-                if spec.max_models is not None and len(ordered) >= spec.max_models:
-                    return ordered, True, time.monotonic() - t0
+                if len(seen) == spec.max_models:
+                    return list(seen), True, time.monotonic() - t0
+                seen[c] = None
             if (
                 done < len(args)
                 and spec.time_budget is not None
                 and time.monotonic() - t0 > spec.time_budget
             ):
-                return ordered, True, time.monotonic() - t0
-    return ordered, False, time.monotonic() - t0
+                return list(seen), True, time.monotonic() - t0
+    return list(seen), False, time.monotonic() - t0
 
 
 def enumerate_models(spec: SearchSpec) -> SearchResult:

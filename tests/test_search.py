@@ -146,6 +146,20 @@ def test_time_budget_spent_after_the_last_chunk_is_not_a_truncation(workers):
     assert not res.truncated
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "n, limit, truncated",
+    [(1, 1, False), (3, 20, False), (3, 19, True)],
+    ids=["n1-whole-space", "n3-whole-space", "n3-one-short"],
+)
+def test_limit_truncates_only_when_a_class_is_left_out(n, limit, truncated, workers):
+    # The order-3 ag space has 20 classes: a limit it exactly fills
+    # returns all of them untruncated; one less leaves a class out.
+    res = count_models(SearchSpec(n=n, m=1, axioms=AG, max_models=limit, workers=workers))
+    assert res.count == limit
+    assert res.truncated is truncated
+
+
 def test_max_models_prefix_of_full_run():
     full = enumerate_models(SearchSpec(n=3, m=1, axioms=AG))
     cut = enumerate_models(SearchSpec(n=3, m=1, axioms=AG, max_models=5))
