@@ -78,9 +78,7 @@ def is_right_ideal(g: GammaGroupoid, a: Subset) -> bool:
 
 
 def is_two_sided_ideal(g: GammaGroupoid, a: Subset) -> bool:
-    _validated(g, a)
-    s = Subset.full(g.n)
-    return subset_product(g, s, a) <= a and subset_product(g, a, s) <= a
+    return is_left_ideal(g, a) and is_right_ideal(g, a)
 
 
 def is_bi_ideal(g: GammaGroupoid, a: Subset) -> bool:

@@ -200,7 +200,10 @@ def _four_variable_sweep(g: GammaGroupoid, law: str, swap: bool) -> LawCheck:
 
 
 def is_medial(g: GammaGroupoid) -> LawCheck:
-    """(x a y) b (l c m) == (x a l) b (y c m); witness (x, y, l, m, a, b, c)."""
+    """(x a y) b (l c m) == (x a l) b (y c m).
+
+    Witness order on failure: (x, y, l, m, a, b, c).
+    """
     return _four_variable_sweep(g, "medial", swap=False)
 
 
@@ -223,7 +226,10 @@ def is_ag_star_star(g: GammaGroupoid) -> LawCheck:
 
 
 def is_paramedial(g: GammaGroupoid) -> LawCheck:
-    """(x a y) b (l c m) == (m a l) b (y c x); witness (x, y, l, m, a, b, c)."""
+    """(x a y) b (l c m) == (m a l) b (y c x).
+
+    Witness order on failure: (x, y, l, m, a, b, c).
+    """
     return _four_variable_sweep(g, "paramedial", swap=True)
 
 
