@@ -32,12 +32,10 @@ from gag.search import (
     naive_enumerate,
 )
 from gag.theorems import TheoremId, run_check, run_suite, suite_to_json_obj
+from hunt_gaps import HUNTED
 
 # (order, gammas) grid where the oracle is feasible
 GRID = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)]
-
-# converse-capable checks hunted for gap witnesses
-HUNTED = ("JI", "II", "IFFFF", "SLA2", "RSEMIPRIME_EQ", "RINTL", "LRL", "BIIID")
 
 # orders of the intra-regular model x.y = y - x mod n whose verify output
 # is frozen; 12 is the default subset sweep cap

@@ -16,10 +16,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gag.fileformat import serialize_model
-from gag.search import SearchSpec, enumerate_models
+from gag.search import AXIOM_SETS, SearchSpec, enumerate_models
 from gag.theorems import FAIL, TheoremId, revalidate_counterexample, run_check
 
-DEFAULT_CHECKS = ("JI", "II", "IFFFF", "SLA2", "RSEMIPRIME_EQ", "RINTL", "LRL", "BIIID")
+# converse-capable checks, hunted by default here and frozen in
+# tests/data/gap_hunts.json by freeze_fixtures.py
+HUNTED = ("JI", "II", "IFFFF", "SLA2", "RSEMIPRIME_EQ", "RINTL", "LRL", "BIIID")
 
 
 def main() -> int:
@@ -35,7 +37,7 @@ def main() -> int:
     ap.add_argument("--workers", type=int, default=4)
     ap.add_argument("--show-models", action="store_true", help="print each witness model")
     args = ap.parse_args()
-    hunted = args.theorem or [TheoremId.from_name(n) for n in DEFAULT_CHECKS]
+    hunted = args.theorem or [TheoremId.from_name(n) for n in HUNTED]
 
     total_fails = 0
     bad_revalidations = 0
@@ -43,12 +45,7 @@ def main() -> int:
         for m in range(1, args.max_gammas + 1):
             t0 = time.time()
             res = enumerate_models(
-                SearchSpec(
-                    n=n,
-                    m=m,
-                    axioms=frozenset({"left-invertive", "ag-star-star"}),
-                    workers=args.workers,
-                )
+                SearchSpec(n=n, m=m, axioms=AXIOM_SETS["agss"], workers=args.workers)
             )
             hits = []
             for g in res.models:
