@@ -248,7 +248,9 @@ def test_search_hunt_clean_exits_0(capsys):
 
 @pytest.mark.parametrize("row", load_data("large_suite.json")["models"], ids=lambda r: f"n{r['order']}")
 def test_verify_large_matches_frozen_fixture(capsys, monkeypatch, row):
-    # x.y = y - x mod n at orders 9..12, up to the default sweep cap.
+    # x.y = y - x mod n at orders 9..16; the powerset sweeps need the
+    # cap raised to 16.
+    monkeypatch.setenv("GAG_SWEEP_CAP", "16")
     n = row["order"]
     g = GammaGroupoid(n, 1, tuple((y - x) % n for x in range(n) for y in range(n)))
     monkeypatch.setattr("sys.stdin", io.StringIO(serialize_model(g)))
