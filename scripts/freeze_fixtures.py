@@ -38,7 +38,8 @@ from hunt_gaps import HUNTED
 GRID = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)]
 
 # orders of the intra-regular model x.y = y - x mod n whose verify output
-# is frozen; orders above 12 need GAG_SWEEP_CAP=16 on the powerset route
+# is frozen; 13..16 were first frozen from the powerset sweeps that
+# listed ideal families before the closure route
 LARGE_ORDERS = tuple(range(9, 17))
 
 

@@ -69,7 +69,6 @@ from .search import (
     run_search,
 )
 from .subsets import (
-    CapacityError,
     CarrierMismatchError,
     EmptySubsetError,
     Subset,
@@ -77,10 +76,8 @@ from .subsets import (
     generated_left_ideal,
     generated_right_ideal,
     generated_two_sided_ideal,
-    list_subsets_satisfying,
     square,
     subset_product,
-    sweep_cap,
 )
 from .theorems import (
     Counterexample,

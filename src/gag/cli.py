@@ -8,7 +8,7 @@ via the token `@paper-example`.
 
 Exit codes: 0 ok/pass; 2 a theorem check failed (or a hunt found a
 counterexample); 3 guard or axiom failure; 64 usage; 65 unreadable or
-malformed input / capacity guard.
+malformed input, or a search beyond the canonicalization guard.
 """
 
 from __future__ import annotations
@@ -47,10 +47,8 @@ from .search import (
     search_to_json_obj,
 )
 from .subsets import (
-    CapacityError,
     EmptySubsetError,
     Subset,
-    SWEEP_CAP_ENV,
     generated_left_ideal,
     generated_right_ideal,
     generated_two_sided_ideal,
@@ -80,8 +78,11 @@ def _load_model(ref: str) -> GammaGroupoid:
         return parse_model(paper_example_text())
     if ref == "-":
         return parse_model(sys.stdin.read())
-    with open(ref, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    try:
+        with open(ref, "r", encoding="utf-8") as fh:
+            return parse_model(fh.read())
+    except UnicodeDecodeError as e:
+        raise ModelFormatError(f"{ref}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
 def _emit_json(obj) -> None:
@@ -180,6 +181,8 @@ def cmd_ideals(args) -> int:
     if args.generated_from is not None:
         if args.kind not in ("left", "right", "two-sided"):
             raise UsageError("--generated-from needs --kind left, right or two-sided")
+        if args.dot:
+            raise UsageError("--dot lists a family, not a --generated-from ideal")
         seed = _parse_seed(g, args.generated_from)
         gen = {
             "left": generated_left_ideal,
@@ -338,6 +341,13 @@ class UsageError(Exception):
 _THEOREM_NAMES = ", ".join(t.value for t in TheoremId)
 
 
+def _theorem_id(name: str) -> TheoremId:
+    try:
+        return TheoremId.from_name(name)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _add_model_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "model",
@@ -353,7 +363,6 @@ def build_parser() -> _Parser:
     parser = _Parser(
         prog="gag",
         description="Finite-model toolkit for operator groupoids satisfying the left invertive law.",
-        epilog=f"The subset sweep cap is overridden with the {SWEEP_CAP_ENV} environment variable.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
@@ -393,7 +402,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--generated-from",
         metavar="ELEMS",
-        help="closure of the comma-separated seed instead of a sweep; for large carriers (example: --kind left --generated-from b)",
+        help="closure of the comma-separated seed instead of a family listing (example: --kind left --generated-from b)",
     )
     _add_json_flag(p)
     p.set_defaults(func=cmd_ideals)
@@ -422,7 +431,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--theorem",
         action="append",
-        type=TheoremId.from_name,
+        type=_theorem_id,
         metavar="ID",
         help="restrict to one check; repeatable (example: --theorem EQUALIENT)",
     )
@@ -459,7 +468,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument(
         "--find-counterexample",
-        type=TheoremId.from_name,
+        type=_theorem_id,
         metavar="ID",
         help=f"return the first enumerated model failing this check; one of: {_THEOREM_NAMES}",
     )
@@ -493,8 +502,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ModelFormatError, CapacityError, SizeGuardError,
-            EmptySubsetError, OSError) as e:
+    except (UsageError, ModelFormatError, SizeGuardError, EmptySubsetError, OSError) as e:
         print(f"gag: error: {e}", file=sys.stderr)
         return EX_USAGE if isinstance(e, UsageError) else EX_DATA
 

@@ -33,8 +33,9 @@ from typing import Callable, Optional
 from .model import GammaGroupoid
 from .subsets import (
     EmptySubsetError,
+    MaskMap,
     Subset,
-    all_nonempty_subsets,
+    closed_subsets,
     subset_product,
     _check_model_subset,
 )
@@ -132,12 +133,25 @@ def kind_predicate(kind: IdealKind) -> Callable[[GammaGroupoid, Subset], bool]:
     return _PREDICATES[kind]
 
 
+# each kind as {A : F(A) <= A}, F(p, s, A) on masks as in `closed_subsets`
+_CLOSURE_MAPS: dict[IdealKind, MaskMap] = {
+    IdealKind.SUBGROUPOID: lambda p, s, a: p(a, a),
+    IdealKind.LEFT: lambda p, s, a: p(s, a),
+    IdealKind.RIGHT: lambda p, s, a: p(a, s),
+    IdealKind.TWO_SIDED: lambda p, s, a: p(s, a) | p(a, s),
+    IdealKind.BI: lambda p, s, a: p(a, a) | p(p(a, s), a),
+    IdealKind.GENERALIZED_BI: lambda p, s, a: p(p(a, s), a),
+    IdealKind.INTERIOR: lambda p, s, a: p(a, a) | p(p(s, a), s),
+    IdealKind.QUASI: lambda p, s, a: p(s, a) & p(a, s),
+    IdealKind.ONE_TWO: lambda p, s, a: p(a, a) | p(p(a, s), p(a, a)),
+}
+
+
 @lru_cache(maxsize=128)
 def ideal_family(g: GammaGroupoid, kind: IdealKind) -> tuple[Subset, ...]:
-    """All non-empty subsets of the given kind, canonical order.
-    Sweeps the powerset, so the subset capacity cap applies."""
-    pred = _PREDICATES[kind]
-    return tuple(a for a in all_nonempty_subsets(g) if pred(g, a))
+    """All non-empty subsets of the given kind, canonical order, listed
+    by closure; the predicates above are the independent check."""
+    return closed_subsets(g, _CLOSURE_MAPS[kind])
 
 
 def two_sided_ideals(g: GammaGroupoid) -> tuple[Subset, ...]:

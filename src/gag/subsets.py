@@ -11,23 +11,18 @@ for every x and of S*y for every y (`GammaGroupoid.product_masks`).  So
 A*S is the OR of the row masks of A's members, S*B the OR of the column
 masks of B's members, and any other A*B one OR per pair of members.
 
-Exhaustive sweeps over all non-empty subsets are guarded by a capacity
-cap (default 12 elements, override with the GAG_SWEEP_CAP environment
-variable) since they walk 2**n - 1 subsets.  Their canonical order is
-computed once per carrier size; the cap is still checked on every sweep.
+Ideal-like families are closure systems {A : F(A) <= A}, F a monotone
+map built from products.  `closed_subsets` lists one by Ganter's
+NextClosure, so its cost follows the family's size, not 2**n.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 from .model import GammaGroupoid
-
-DEFAULT_SWEEP_CAP = 12
-SWEEP_CAP_ENV = "GAG_SWEEP_CAP"
 
 
 class CarrierMismatchError(ValueError):
@@ -36,10 +31,6 @@ class CarrierMismatchError(ValueError):
 
 class EmptySubsetError(ValueError):
     """An operation that needs a non-empty subset got an empty one."""
-
-
-class CapacityError(ValueError):
-    """A sweep over all subsets would exceed the configured cap."""
 
 
 def _bits(mask: int) -> list[int]:
@@ -140,26 +131,31 @@ def _check_model_subset(g: GammaGroupoid, a: Subset) -> None:
         raise CarrierMismatchError(f"subset bound to carrier {a.n}, model has {g.n}")
 
 
+def _mask_product(g: GammaGroupoid, a: int, b: int) -> int:
+    """Mask of A*B for masks a and b over g's carrier, unchecked."""
+    cells, rows, cols = g.product_masks
+    full = (1 << g.n) - 1
+    out = 0
+    if b == full:
+        for x in _bits(a):
+            out |= rows[x]
+    elif a == full:
+        for y in _bits(b):
+            out |= cols[y]
+    else:
+        bm = _bits(b)
+        for x in _bits(a):
+            row = cells[x]
+            for y in bm:
+                out |= row[y]
+    return out
+
+
 def subset_product(g: GammaGroupoid, a: Subset, b: Subset) -> Subset:
     """{x *_k y : x in a, k in Gamma, y in b}.  Empty inputs give empty."""
     _check_model_subset(g, a)
     _check_model_subset(g, b)
-    cells, rows, cols = g.product_masks
-    full = (1 << g.n) - 1
-    out = 0
-    if b.mask == full:
-        for x in _bits(a.mask):
-            out |= rows[x]
-    elif a.mask == full:
-        for y in _bits(b.mask):
-            out |= cols[y]
-    else:
-        bm = _bits(b.mask)
-        for x in _bits(a.mask):
-            row = cells[x]
-            for y in bm:
-                out |= row[y]
-    return Subset(g.n, out)
+    return Subset(g.n, _mask_product(g, a.mask, b.mask))
 
 
 def square(g: GammaGroupoid, a: Subset) -> Subset:
@@ -167,72 +163,65 @@ def square(g: GammaGroupoid, a: Subset) -> Subset:
     return subset_product(g, a, a)
 
 
-def _generated_ideal(g: GammaGroupoid, x: Subset, left: bool, right: bool) -> Subset:
-    """Least A containing x with S*A (if left) and A*S (if right) inside
-    A: the fixpoint of A -> A | S*A | A*S, reached within n steps since
-    the chain strictly grows."""
+# F(p, s, A) on masks: p is the model's mask product, s the carrier's mask
+MaskMap = Callable[[Callable[[int, int], int], int, int], int]
+
+
+def _closure(g: GammaGroupoid, f: MaskMap) -> Callable[[int], int]:
+    """cl(A), the least B >= A with F(B) <= B: iterate A -> A | F(A)."""
+    p, s = partial(_mask_product, g), (1 << g.n) - 1
+
+    def cl(a: int) -> int:
+        while True:
+            nxt = a | f(p, s, a)
+            if nxt == a:
+                return a
+            a = nxt
+
+    return cl
+
+
+def closed_subsets(g: GammaGroupoid, f: MaskMap) -> tuple[Subset, ...]:
+    """Every non-empty A with F(A) <= A, sorted by member tuple.
+    NextClosure lists the closed sets in lectic order (element 0 most
+    significant): after A comes B = cl(A below i, plus i) for the
+    largest i not in A whose B adds nothing below i."""
+    cl, n = _closure(g, f), g.n
+    a, i = cl(0), n - 1
+    found = [Subset(n, a)]
+    while i >= 0:
+        bit = 1 << i
+        low = a & (bit - 1)
+        if not a & bit and (b := cl(low | bit)) & (bit - 1) == low:
+            a, i = b, n
+            found.append(Subset(n, a))
+        i -= 1
+    return tuple(sorted(filter(None, found), key=Subset.members))
+
+
+def _generated(g: GammaGroupoid, x: Subset, f: MaskMap) -> Subset:
     _check_model_subset(g, x)
     if not x:
         raise EmptySubsetError("generator set must be non-empty")
-    s = Subset.full(g.n)
-    cur = x
-    while True:
-        nxt = cur
-        if left:
-            nxt |= subset_product(g, s, cur)
-        if right:
-            nxt |= subset_product(g, cur, s)
-        if nxt == cur:
-            return cur
-        cur = nxt
+    return Subset(g.n, _closure(g, f)(x.mask))
 
 
 def generated_left_ideal(g: GammaGroupoid, x: Subset) -> Subset:
     """Least A containing x with S*A a subset of A."""
-    return _generated_ideal(g, x, left=True, right=False)
+    return _generated(g, x, lambda p, s, a: p(s, a))
 
 
 def generated_right_ideal(g: GammaGroupoid, x: Subset) -> Subset:
     """Least A containing x with A*S a subset of A."""
-    return _generated_ideal(g, x, left=False, right=True)
+    return _generated(g, x, lambda p, s, a: p(a, s))
 
 
 def generated_two_sided_ideal(g: GammaGroupoid, x: Subset) -> Subset:
     """Least A containing x closed under products with S on both sides."""
-    return _generated_ideal(g, x, left=True, right=True)
-
-
-def sweep_cap() -> int:
-    raw = os.environ.get(SWEEP_CAP_ENV)
-    if raw is None:
-        return DEFAULT_SWEEP_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise CapacityError(f"{SWEEP_CAP_ENV} must be an integer, got {raw!r}") from None
-
-
-@lru_cache(maxsize=None)
-def _sweep_order(n: int) -> tuple[Subset, ...]:
-    subs = [Subset(n, mask) for mask in range(1, 1 << n)]
-    subs.sort(key=Subset.members)
-    return tuple(subs)
+    return _generated(g, x, lambda p, s, a: p(s, a) | p(a, s))
 
 
 def all_nonempty_subsets(g: GammaGroupoid) -> list[Subset]:
     """All non-empty subsets in canonical ascending order (by sorted
-    member tuple), as a fresh list.  Guarded by the sweep cap."""
-    cap = sweep_cap()
-    if g.n > cap:
-        raise CapacityError(
-            f"carrier size {g.n} exceeds the subset sweep cap {cap}; "
-            f"use generated ideals (--generated-from) or raise {SWEEP_CAP_ENV}"
-        )
-    return list(_sweep_order(g.n))
-
-
-def list_subsets_satisfying(
-    g: GammaGroupoid, predicate: Callable[[GammaGroupoid, Subset], bool]
-) -> list[Subset]:
-    """All non-empty subsets satisfying a predicate, canonical order."""
-    return [a for a in all_nonempty_subsets(g) if predicate(g, a)]
+    member tuple), as a fresh list: the plain powerset, 2**n - 1 long."""
+    return sorted((Subset(g.n, mask) for mask in range(1, 1 << g.n)), key=Subset.members)

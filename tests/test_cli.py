@@ -248,15 +248,24 @@ def test_search_hunt_clean_exits_0(capsys):
 
 @pytest.mark.parametrize("row", load_data("large_suite.json")["models"], ids=lambda r: f"n{r['order']}")
 def test_verify_large_matches_frozen_fixture(capsys, monkeypatch, row):
-    # x.y = y - x mod n at orders 9..16; the powerset sweeps need the
-    # cap raised to 16.
-    monkeypatch.setenv("GAG_SWEEP_CAP", "16")
+    # x.y = y - x mod n at orders 9..16.
     n = row["order"]
     g = GammaGroupoid(n, 1, tuple((y - x) % n for x in range(n) for y in range(n)))
     monkeypatch.setattr("sys.stdin", io.StringIO(serialize_model(g)))
     code, out, _ = run(capsys, "verify", "--json", "-")
     assert code == row["exit"]
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == row["sha256"]
+
+
+def test_ideals_above_order_12(capsys, tmp_path):
+    # x.y = y - x mod 13: families are listed by closure, so no carrier
+    # size is refused; the only two-sided ideal is the carrier.
+    path = tmp_path / "n13.gag"
+    path.write_text(serialize_model(
+        GammaGroupoid(13, 1, tuple((y - x) % 13 for x in range(13) for y in range(13)))))
+    code, out, err = run(capsys, "ideals", str(path), "--kind", "two-sided")
+    assert code == 0, err
+    assert out.splitlines()[0] == "two-sided (1):"
 
 
 def _cli_fixture_id(row):
@@ -316,6 +325,27 @@ class TestUsageErrors:
     def test_unknown_theorem(self, capsys):
         code, _, err = run(capsys, "verify", M5, "--theorem", "nope")
         assert code == 64
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", M5, "--theorem", "FOO"],
+         ["search", "--order", "2", "--find-counterexample", "FOO"]],
+        ids=["theorem", "find-counterexample"],
+    )
+    def test_unknown_theorem_message(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 64
+        assert "unknown theorem id 'FOO'" in err
+        assert "from_name" not in err
+        assert out == ""
+
+    def test_dot_with_generated_from(self, capsys):
+        code, out, err = run(
+            capsys, "ideals", M5, "--kind", "left", "--generated-from", "b", "--dot"
+        )
+        assert code == 64
+        assert "--dot" in err and "--generated-from" in err
+        assert out == ""
 
     def test_dot_with_kind_all(self, capsys):
         code, _, err = run(capsys, "ideals", M5, "--kind", "all", "--dot")
@@ -380,25 +410,14 @@ class TestDataErrors:
         assert code == 65
         assert "z" in err
 
-    def test_sweep_cap_exceeded(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("GAG_SWEEP_CAP", "4")
-        # Fresh table: family sweeps are memoized per model, so a model
-        # some earlier test already swept would dodge the cap here.
-        path = tmp_path / "wide.gag"
-        path.write_text(serialize_model(GammaGroupoid(5, 1, (0,) * 25)))
-        code, _, err = run(capsys, "ideals", str(path), "--kind", "left")
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.gag"
+        path.write_bytes(b"gag v1\nelements: \xe9\n")
+        code, out, err = run(capsys, "check", str(path))
         assert code == 65
-        assert "GAG_SWEEP_CAP" in err
-
-    def test_sweep_cap_not_an_integer(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("GAG_SWEEP_CAP", "abc")
-        # Fresh table, as above: a memoized family never reads the cap.
-        path = tmp_path / "fresh.gag"
-        path.write_text(serialize_model(GammaGroupoid(6, 1, (5,) * 36)))
-        code, _, err = run(capsys, "ideals", str(path), "--kind", "left")
-        assert code == 65
-        assert "GAG_SWEEP_CAP" in err
-        assert "'abc'" in err
+        assert "not UTF-8" in err and str(path) in err
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_search_too_large(self, capsys):
         code, _, err = run(capsys, "search", "--order", "7")

@@ -12,6 +12,8 @@ from gag import (
     all_nonempty_subsets,
     ideal_family,
     kind_predicate,
+    subset_product,
+    theorems,
     two_sided_ideals,
 )
 from gag.ideals import (
@@ -30,6 +32,7 @@ from gag.ideals import (
     is_subgroupoid,
     is_two_sided_ideal,
 )
+from gag.subsets import closed_subsets
 
 
 def _fam_members(g, kind):
@@ -118,14 +121,23 @@ def test_prime_implies_semiprime(g):
             assert is_prime(g, p)
 
 
+def _sbs_inside(g, a):
+    s = Subset.full(g.n)
+    return subset_product(g, subset_product(g, s, a), s) <= a
+
+
 @settings(max_examples=80, deadline=None)
-@given(models(max_n=4, max_m=2))
+@given(models(max_n=8, max_m=3))
 def test_family_matches_predicate_sweep(g):
+    # Closure listing against the powerset filter by the predicates,
+    # including the (S*A)*S family the theorem suite sweeps.
+    subs = all_nonempty_subsets(g)
     for kind in IdealKind:
         pred = kind_predicate(kind)
-        assert list(ideal_family(g, kind)) == [
-            a for a in all_nonempty_subsets(g) if pred(g, a)
-        ]
+        assert list(ideal_family(g, kind)) == [a for a in subs if pred(g, a)]
+    sbs = closed_subsets(g, lambda p, s, a: p(p(s, a), s))
+    assert list(sbs) == [a for a in subs if _sbs_inside(g, a)]
+    assert set(sbs) <= set(theorems._candidates(theorems._Ctx(g)))
 
 
 def test_carrier_is_every_kind(m5):

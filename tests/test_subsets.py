@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gag import (
-    CapacityError,
     CarrierMismatchError,
     GammaGroupoid,
     Subset,
@@ -17,12 +16,10 @@ from gag import (
     generated_left_ideal,
     generated_right_ideal,
     generated_two_sided_ideal,
-    list_subsets_satisfying,
     model_to_json_obj,
     serialize_model,
     square,
     subset_product,
-    sweep_cap,
 )
 from gag.ideals import is_left_ideal, is_right_ideal, is_two_sided_ideal
 
@@ -195,21 +192,3 @@ def test_all_nonempty_subsets_returns_a_fresh_list(m5):
     first.append(Subset.empty(5))
     assert all_nonempty_subsets(m5) == expected
 
-
-def test_sweep_cap_env(monkeypatch):
-    big = GammaGroupoid(13, 1, (0,) * 169)
-    with pytest.raises(CapacityError):
-        all_nonempty_subsets(big)
-    monkeypatch.setenv("GAG_SWEEP_CAP", "13")
-    assert sweep_cap() == 13
-    assert len(all_nonempty_subsets(big)) == (1 << 13) - 1
-    monkeypatch.setenv("GAG_SWEEP_CAP", "not-a-number")
-    with pytest.raises(CapacityError):
-        sweep_cap()
-
-
-def test_list_subsets_satisfying(m5):
-    full = list_subsets_satisfying(m5, lambda g, a: True)
-    assert full == all_nonempty_subsets(m5)
-    singletons = list_subsets_satisfying(m5, lambda g, a: len(a) == 1)
-    assert [s.members() for s in singletons] == [(i,) for i in range(5)]

@@ -9,7 +9,10 @@ from conftest import load_data
 
 from gag import (
     GammaGroupoid,
+    Subset,
     TheoremId,
+    all_models,
+    all_nonempty_subsets,
     revalidate_counterexample,
     run_check,
     run_suite,
@@ -18,6 +21,7 @@ from gag import (
     suite_to_json_obj,
 )
 from gag import theorems
+from gag.ideals import is_two_sided_ideal
 from gag.theorems import Counterexample, model_hash
 
 # Left invertive and strong, but not intra-regular; elements 1 and 2
@@ -301,3 +305,49 @@ def test_revalidation_accepts_exactly_the_frozen_conditions():
     for condition in CONDITIONS:
         # known condition, missing witness: rejected, not a KeyError
         assert not revalidate_counterexample(GAP3, Counterexample(condition, ()))
+
+
+def _small_tables():
+    """Every table with n <= 3 (one operator) and n <= 2 (two operators)."""
+    for n, m in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2)):
+        yield from all_models(n, m)
+
+
+def test_subset_clauses_fire_only_on_candidates(guards_open):
+    # The per-subset stages sweep only the nine families and the
+    # (S*A)*S family; on any other subset no clause may fire.
+    clauses = [
+        clause
+        for check in theorems._CHECKS.values()
+        for domain, stage in check.stages if domain is theorems._SUBSETS
+        for clause in stage
+    ]
+    assert len(clauses) == 19
+    tables = outside = 0
+    for g in _small_tables():
+        tables += 1
+        c = theorems._Ctx(g)
+        candidates = set(theorems._candidates(c))
+        for a in all_nonempty_subsets(g):
+            if a not in candidates:
+                hits = [cl.condition for cl in clauses if cl.test(c, a) is not None]
+                assert not hits, (g.table, a.members(), hits)
+                outside += 1
+    assert outside > tables
+
+
+def _minimal_by_powerset(g, q):
+    subs = all_nonempty_subsets(g)
+    return is_two_sided_ideal(g, q) and not any(p < q and is_two_sided_ideal(g, p) for p in subs)
+
+
+def test_minimal_ideal_matches_powerset_definition():
+    tables = minimal = 0
+    for g in _small_tables():
+        tables += 1
+        for q in all_nonempty_subsets(g):
+            want = _minimal_by_powerset(g, q)
+            assert theorems._is_minimal_ideal(g, q) == want, (g.table, q.members())
+            minimal += want
+    # two minimal ideals I, J would meet in I*J, so each table has one
+    assert minimal == tables
