@@ -182,10 +182,11 @@ def _fixed_family(c: _Ctx) -> tuple[Subset, ...]:
 
 
 def _candidates(c: _Ctx) -> tuple[Subset, ...]:
-    """The nine families and {A : (S*A)*S <= A} in sweep order; whatever
-    the laws, no per-subset clause fires on a subset outside them."""
+    """The families of the nine-way equivalence and {A : (S*A)*S <= A},
+    in sweep order: whatever the laws, no per-subset clause fires outside
+    them.  Subgroupoids are left out; alone they can be every subset."""
     found = set(closed_subsets(c.g, lambda p, s, a: p(p(s, a), s)))
-    return tuple(sorted(found.union(*map(c.family, IdealKind)), key=Subset.members))
+    return tuple(sorted(found.union(*map(c.family, _EQUALIENT)), key=Subset.members))
 
 
 def _family_set(c: _Ctx, kind) -> frozenset[Subset]:

@@ -9,7 +9,6 @@ from conftest import load_data
 
 from gag import (
     GammaGroupoid,
-    Subset,
     TheoremId,
     all_models,
     all_nonempty_subsets,
@@ -314,8 +313,8 @@ def _small_tables():
 
 
 def test_subset_clauses_fire_only_on_candidates(guards_open):
-    # The per-subset stages sweep only the nine families and the
-    # (S*A)*S family; on any other subset no clause may fire.
+    # The per-subset stages sweep only the candidate families; on any
+    # other subset, subgroupoids included, no clause may fire.
     clauses = [
         clause
         for check in theorems._CHECKS.values()
