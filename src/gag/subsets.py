@@ -182,7 +182,7 @@ def _closure(g: GammaGroupoid, f: MaskMap) -> Callable[[int], int]:
 
 
 def closed_subsets(g: GammaGroupoid, f: MaskMap) -> tuple[Subset, ...]:
-    """Every non-empty A with F(A) <= A, sorted by member tuple.
+    """Every non-empty A with F(A) <= A (F monotone), by member tuple.
     NextClosure lists the closed sets in lectic order (element 0 most
     significant): after A comes B = cl(A below i, plus i) for the
     largest i not in A whose B adds nothing below i."""
