@@ -1,13 +1,28 @@
 """Exhaustive model enumeration up to isomorphism, plus counterexample hunts.
 
 The enumerator fills table cells in ascending flat order (row-major by
-(element, operator, element)), pruning a branch as soon as some fully
-instantiated ground instance of a required law is violated.  Each
-instance of either law is a tuple (i, s, p, j, q), checked inline by the
-DFS as t[t[i]*s + p] == t[t[j]*s + q] over the flat table t.  Completed
-tables are filtered, canonicalized and deduplicated; the emitted set is
-provably independent of the worker count because per-prefix results are
-merged in prefix order and only first occurrences matter.
+(element, operator, element)) and tries values in ascending order, so it
+reaches the valid completions of each prefix in lexicographic order.
+Each ground instance of a required law is a tuple (i, s, p, j, q) that
+holds iff t[t[i]*s + p] == t[t[j]*s + q] over the flat table t.
+
+Instances are never rescanned.  Each waits on the cell max(i, j) that
+fixes both of its inner cells (or on the first free cell, when both lie
+in the prefix).  Once that cell is assigned the instance names its two
+outer cells a = t[i]*s + p and b = t[j]*s + q.  If a == b it holds; if
+both are assigned it is checked at once; if only the smaller is
+assigned, the larger is forced to its value; otherwise the larger is
+put on the smaller's watch list and is forced when the smaller is
+assigned.  A forced cell tries only its forced value, and two forcings
+that disagree prune the branch at once.  Only branches without a valid
+completion are cut, so the leaves and their order are those of a plain
+DFS that checks every instance once its cells are known.
+
+Completed tables are filtered, canonicalized and deduplicated; the
+emitted set is provably independent of the worker count because
+per-prefix results are merged in prefix order and only first
+occurrences matter.  Canonicalization reads one precomputed table of
+relabelings per (n, m).
 
 A naive filter-all-tables oracle is kept alongside as ground truth; the
 pruned enumerator is required to reproduce its output exactly wherever
@@ -120,28 +135,56 @@ class HuntResult:
 
 # --- canonical forms --------------------------------------------------------
 
+# (n, m) -> one (inv, src) pair per relabeling: the relabeled table is
+# [inv[t[x]] for x in src].  Filled lazily, after the size guard.
+_RELABELINGS: dict[tuple[int, int], tuple[tuple[list[int], list[int]], ...]] = {}
+# below this many surviving relabelings, canonicalize compares whole rows
+_FEW_RELABELINGS = 4
+
+
+def _relabelings(n: int, m: int) -> tuple[tuple[list[int], list[int]], ...]:
+    table = _RELABELINGS.get((n, m))
+    if table is None:
+        pairs = []
+        for p in itertools.permutations(range(n)):  # p[i] = old element at new slot i
+            inv = [0] * n
+            for new, old in enumerate(p):
+                inv[old] = new
+            for q in itertools.permutations(range(m)):
+                src = [
+                    (p[i] * m + q[k]) * n + p[j]
+                    for i in range(n)
+                    for k in range(m)
+                    for j in range(n)
+                ]
+                pairs.append((inv, src))
+        table = _RELABELINGS[n, m] = tuple(pairs)
+    return table
+
+
 def canonicalize(g: GammaGroupoid) -> tuple[int, ...]:
     """Lexicographically least flat table over all simultaneous
     relabelings of elements and operators.  Two models are isomorphic
-    iff their canonical forms are equal."""
+    iff their canonical forms are equal.
+
+    The least table is built cell by cell: each cell keeps only the
+    relabelings that give it its least value.  Once at most
+    _FEW_RELABELINGS are left, the least of their whole remaining rows
+    is taken at once.
+    """
     _check_canon_size(g.n, g.m)
-    n, m, t = g.n, g.m, g.table
-    best: Optional[tuple[int, ...]] = None
-    for p in itertools.permutations(range(n)):  # p[i] = old element at new slot i
-        inv = [0] * n
-        for new, old in enumerate(p):
-            inv[old] = new
-        for q in itertools.permutations(range(m)):
-            cand = tuple(
-                inv[t[(p[i] * m + q[k]) * n + p[j]]]
-                for i in range(n)
-                for k in range(m)
-                for j in range(n)
-            )
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
+    t = g.table
+    live = _relabelings(g.n, g.m)
+    out: list[int] = []
+    for pos in range(len(t)):
+        if len(live) <= _FEW_RELABELINGS:
+            out += min([inv[t[x]] for x in src[pos:]] for inv, src in live)
+            break
+        vals = [inv[t[src[pos]]] for inv, src in live]
+        least = min(vals)
+        out.append(least)
+        live = [pair for pair, v in zip(live, vals) if v == least]
+    return tuple(out)
 
 
 def canonical_model(g: GammaGroupoid) -> GammaGroupoid:
@@ -176,6 +219,11 @@ def compile_instances(n: int, m: int, axioms: Iterable[str]) -> tuple[tuple, ...
     x a (y b z) = y a (x b z) has i = y b z, j = x b z, s = 1,
     p = (x*m + a)*n and q = (y*m + a)*n.  The first is trivial at x = z
     and the second at x = y, so those are skipped.
+
+    The DFS files each instance under the cell max(i, j) (see
+    _watch_index).  When that cell is assigned, the outer cells
+    a = t[i]*s + p and b = t[j]*s + q are known; the instance is then
+    checked, forces the larger of a and b, or watches the smaller.
     """
     out: list[tuple] = []
     axioms = set(axioms)
@@ -200,30 +248,74 @@ def compile_instances(n: int, m: int, axioms: Iterable[str]) -> tuple[tuple, ...
     return tuple(out)
 
 
+def _watch_index(instances: Sequence[tuple], start: int, total: int) -> list[list[tuple]]:
+    """ready[c]: the instances whose inner cells i and j are both known
+    once cell c is assigned, i.e. c = max(i, j).  Instances whose inner
+    cells lie in a prefix of length `start` go on cell `start`, which is
+    `total` when the prefix fills the table."""
+    ready: list[list[tuple]] = [[] for _ in range(total + 1)]
+    for inst in instances:
+        ready[max(inst[0], inst[3], start)].append(inst)
+    return ready
+
+
 def _dfs(
-    t: list[int], cell: int, total: int, n: int, pending: Sequence[tuple]
+    t: list[int], cell: int, total: int, n: int, ready: Sequence[Sequence[tuple]],
+    watch: list[list[int]], forced: list[int],
 ) -> Iterator[tuple[int, ...]]:
+    """Every completion of t[:cell] that satisfies all instances, in
+    ascending lexicographic order.
+
+    watch[c] lists cells above c that must take c's value once c is
+    assigned; forced[c] is the value c must take, or -1.  Both are
+    restored on backtrack, so one pair serves a whole chunk.
+    """
     if cell == total:
-        yield tuple(t)
+        if all(t[t[i] * s + p] == t[t[j] * s + q] for i, s, p, j, q in ready[total]):
+            yield tuple(t)
         return
-    for v in range(n):
+    v = forced[cell]
+    values: Iterable[int] = range(n) if v < 0 else (v,)
+    insts = ready[cell]
+    waiting = watch[cell]
+    for v in values:
         t[cell] = v
-        nxt = []
-        for inst in pending:
-            i, s, p, j, q = inst
-            a = t[i]
-            b = t[j]
-            if a >= 0 and b >= 0:
-                a = t[a * s + p]
-                b = t[b * s + q]
-                if a >= 0 and b >= 0:
-                    if a != b:
-                        break
-                    continue
-            nxt.append(inst)
+        fixed: list[int] = []
+        pushed: list[int] = []
+        for a in waiting:
+            r = forced[a]
+            if r < 0:
+                forced[a] = v
+                fixed.append(a)
+            elif r != v:
+                break
         else:
-            yield from _dfs(t, cell + 1, total, n, nxt)
-    t[cell] = -1
+            for i, s, p, j, q in insts:
+                a = t[i] * s + p
+                b = t[j] * s + q
+                if a < b:
+                    a, b = b, a
+                elif a == b:
+                    continue
+                if a <= cell:
+                    if t[a] != t[b]:
+                        break
+                elif b <= cell:
+                    r = forced[a]
+                    if r < 0:
+                        forced[a] = t[b]
+                        fixed.append(a)
+                    elif r != t[b]:
+                        break
+                else:
+                    watch[b].append(a)
+                    pushed.append(b)
+            else:
+                yield from _dfs(t, cell + 1, total, n, ready, watch, forced)
+        for b in pushed:
+            watch[b].pop()
+        for a in fixed:
+            forced[a] = -1
 
 
 def _passes_filter(g: GammaGroupoid, filt: str) -> bool:
@@ -238,13 +330,15 @@ def _enumerate_chunk(args) -> list[tuple[int, ...]]:
     canonical forms in discovery order."""
     n, m, axioms, filt, prefixes = args
     total = n * n * m
-    instances = compile_instances(n, m, axioms)
+    ready = _watch_index(compile_instances(n, m, axioms), n, total)
+    watch: list[list[int]] = [[] for _ in range(total)]
+    forced = [-1] * total
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []
     for prefix in prefixes:
         t = [-1] * total
-        t[: len(prefix)] = list(prefix)
-        for flat in _dfs(t, len(prefix), total, n, instances):
+        t[:n] = prefix
+        for flat in _dfs(t, n, total, n, ready, watch, forced):
             g = GammaGroupoid(n, m, flat)
             if not _passes_filter(g, filt):
                 continue

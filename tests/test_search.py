@@ -1,5 +1,6 @@
 """Model enumeration up to isomorphism, canonical forms, hunts."""
 
+import itertools
 import random
 
 import pytest
@@ -20,10 +21,145 @@ from gag import (
     find_counterexample,
     run_search,
 )
-from gag.search import naive_enumerate, naive_enumerate_direct, spec_to_json_obj
+from gag import search
+from gag.search import (
+    compile_instances,
+    naive_enumerate,
+    naive_enumerate_direct,
+    spec_to_json_obj,
+)
 
 AG = frozenset({"left-invertive"})
 AGSS = frozenset({"left-invertive", "ag-star-star"})
+
+
+# --- reference route: plain DFS and per-permutation canonical form ----------
+
+def _reference_dfs(t, cell, total, n, pending):
+    # Rescans every pending instance at every node and checks it once
+    # both levels of cells are known.
+    if cell == total:
+        yield tuple(t)
+        return
+    for v in range(n):
+        t[cell] = v
+        nxt = []
+        for inst in pending:
+            i, s, p, j, q = inst
+            a = t[i]
+            b = t[j]
+            if a >= 0 and b >= 0:
+                a = t[a * s + p]
+                b = t[b * s + q]
+                if a >= 0 and b >= 0:
+                    if a != b:
+                        break
+                    continue
+            nxt.append(inst)
+        else:
+            yield from _reference_dfs(t, cell + 1, total, n, nxt)
+    t[cell] = -1
+
+
+def _reference_canonicalize(g):
+    n, m, t = g.n, g.m, g.table
+    best = None
+    for p in itertools.permutations(range(n)):  # p[i] = old element at new slot i
+        inv = [0] * n
+        for new, old in enumerate(p):
+            inv[old] = new
+        for q in itertools.permutations(range(m)):
+            cand = tuple(
+                inv[t[(p[i] * m + q[k]) * n + p[j]]]
+                for i in range(n)
+                for k in range(m)
+                for j in range(n)
+            )
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def _prefixed(n, m, prefix):
+    t = [-1] * (n * n * m)
+    t[:n] = prefix
+    return t
+
+
+def _reference_leaves(n, m, axioms, prefix):
+    instances = compile_instances(n, m, axioms)
+    return list(_reference_dfs(_prefixed(n, m, prefix), n, n * n * m, n, instances))
+
+
+class _Engine:
+    """The production DFS with one watch index and one set of watch lists
+    shared by every prefix, as in a worker's chunk."""
+
+    def __init__(self, n, m, axioms):
+        self.n, self.m, self.total = n, m, n * n * m
+        self.ready = search._watch_index(compile_instances(n, m, axioms), n, self.total)
+        self.watch = [[] for _ in range(self.total)]
+        self.forced = [-1] * self.total
+
+    def leaves(self, prefix):
+        t = _prefixed(self.n, self.m, prefix)
+        out = list(search._dfs(t, self.n, self.total, self.n, self.ready, self.watch, self.forced))
+        # every watch and forcing is undone on the way back up
+        assert self.watch == [[] for _ in range(self.total)]
+        assert self.forced == [-1] * self.total
+        return out
+
+
+@pytest.mark.parametrize(
+    "n,m,axioms",
+    [(n, 1, ax) for n in (1, 2, 3, 4) for ax in (AG, AGSS)] + [(3, 2, AG)],
+    ids=lambda v: "agss" if v == AGSS else "ag" if v == AG else str(v),
+)
+def test_dfs_leaf_sequence_matches_reference(n, m, axioms):
+    engine = _Engine(n, m, axioms)
+    got, want = [], []
+    for prefix in itertools.product(range(n), repeat=n):
+        got += engine.leaves(prefix)
+        want += _reference_leaves(n, m, axioms, prefix)
+    assert got == want
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("axioms", [AG, AGSS], ids=["ag", "agss"])
+def test_dfs_matches_reference_on_every_prefix(m, axioms):
+    # Prefixes in reverse order through one engine: each prefix's leaves
+    # must not depend on what ran before it.
+    engine = _Engine(3, m, axioms)
+    for prefix in reversed(list(itertools.product(range(3), repeat=3))):
+        assert engine.leaves(prefix) == _reference_leaves(3, m, axioms, prefix), prefix
+
+
+@pytest.mark.parametrize("axioms", [AG, AGSS], ids=["ag", "agss"])
+def test_dfs_on_a_prefix_that_fills_the_table(axioms):
+    # The first free cell is `total`: the instances filed there are checked
+    # on the finished table, without indexing past the watch lists.
+    n, m, total = 2, 1, 4
+    ready = search._watch_index(compile_instances(n, m, axioms), total, total)
+    for flat in itertools.product(range(n), repeat=total):
+        got = list(search._dfs(list(flat), total, total, n, ready, [[]] * total, [-1] * total))
+        holds = search._passes_axioms(GammaGroupoid(n, m, flat), axioms)
+        assert got == ([flat] if holds else [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(models(max_n=5, max_m=2), models(max_n=3, max_m=3)))
+def test_canonicalize_matches_reference(g):
+    assert canonicalize(g) == _reference_canonicalize(g)
+
+
+def test_canonicalize_matches_reference_on_symmetric_tables():
+    # Constant and projection tables keep every relabeling alive to the
+    # last cell.
+    for n, m in [(1, 1), (1, 3), (3, 3), (5, 2), (6, 1)]:
+        total = n * n * m
+        for flat in [(0,) * total, tuple(x % n for x in range(total))]:
+            g = GammaGroupoid(n, m, flat)
+            assert canonicalize(g) == _reference_canonicalize(g)
 
 
 def _relabel(g, perm, gperm):
@@ -59,13 +195,16 @@ def test_canonicalize_is_idempotent(g):
     assert canonicalize(g) <= tuple(g.table)
 
 
-def test_canonicalize_size_guard():
+def test_canonicalize_size_guard(monkeypatch):
+    # The guard fires before any relabeling table is built.
+    monkeypatch.setattr(search, "_RELABELINGS", {})
     big = GammaGroupoid(7, 1, (0,) * 49)
     with pytest.raises(SizeGuardError):
         canonicalize(big)
     wide = GammaGroupoid(2, 4, (0,) * 16)
     with pytest.raises(SizeGuardError):
         canonicalize(wide)
+    assert search._RELABELINGS == {}
 
 
 @settings(max_examples=60, deadline=None)
@@ -77,13 +216,16 @@ def test_canonical_equality_iff_isomorphic(g1, g2):
         assert are_isomorphic(g1, g2) == (canonicalize(g1) == canonicalize(g2))
 
 
-@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (3, 1), (2, 2)])
+# At n = 1 the prefix fills the first row, and at m = 1 the whole table.
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1)])
 @pytest.mark.parametrize("axioms", [AG, AGSS])
 def test_enumerator_matches_naive_oracle(n, m, axioms):
     for filt in ("any", "intra-regular", "non-intra-regular"):
         spec = SearchSpec(n=n, m=m, axioms=axioms, filter=filt)
         got = [g.table for g in enumerate_models(spec).models]
-        assert got == naive_enumerate_direct(n, m, axioms, filt)
+        want = naive_enumerate_direct(n, m, axioms, filt)
+        assert got == want
+        assert count_models(spec).count == len(want)
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (1, 3)])
