@@ -140,8 +140,10 @@ def test_dfs_on_a_prefix_that_fills_the_table(axioms):
     # on the finished table, without indexing past the watch lists.
     n, m, total = 2, 1, 4
     ready = search._watch_index(compile_instances(n, m, axioms), total, total)
+    watch = [[] for _ in range(total)]
+    forced = [-1] * total
     for flat in itertools.product(range(n), repeat=total):
-        got = list(search._dfs(list(flat), total, total, n, ready, [[]] * total, [-1] * total))
+        got = list(search._dfs(list(flat), total, total, n, ready, watch, forced))
         holds = search._passes_axioms(GammaGroupoid(n, m, flat), axioms)
         assert got == ([flat] if holds else [])
 
