@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -201,6 +202,43 @@ def freeze_large_suite(out: Path) -> None:
     print(f"wrote {out}")
 
 
+# hunts frozen through the CLI: every check on the order-3 agss classes,
+# the converse-capable ones on the two-operator order-3 agss classes
+HUNT_SPACES = ((3, 1, tuple(t.value for t in TheoremId)), (3, 2, HUNTED))
+
+
+def hunt_digest(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout sha256 of one `gag search` hunt, with the
+    clock reading on its `#` line masked."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = gag_main(argv)
+    text = re.sub(r"elapsed=[0-9.]+s", "elapsed=-", stdout.getvalue())
+    return code, hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def freeze_hunt_outputs(out: Path) -> None:
+    """Archive the stdout sha256 and exit code of `gag search
+    --find-counterexample`, text and --json, over HUNT_SPACES."""
+    t0 = time.time()
+    rows = []
+    for n, m, ids in HUNT_SPACES:
+        for tid in ids:
+            for json_flag in ([], ["--json"]):
+                argv = ["search", "--order", str(n), "--gammas", str(m), "--axiom", "agss",
+                        "--find-counterexample", tid, *json_flag]
+                code, digest = hunt_digest(argv)
+                rows.append({"argv": argv, "exit": code, "sha256": digest})
+    doc = {
+        "comment": "sha256 of stdout and exit code of `gag <argv>`, with the "
+        "elapsed=...s reading on the text-mode # line replaced by elapsed=-",
+        "hunts": rows,
+    }
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"  {len(rows)} hunts ({time.time() - t0:.1f}s)")
+    print(f"wrote {out}")
+
+
 def cli_commands(first: str) -> list[list[str]]:
     """The frozen subcommand lines; `first` is the model's first element."""
     generated = [
@@ -269,7 +307,7 @@ def main() -> int:
     )
     ap.add_argument(
         "--only",
-        choices=("counts", "suite", "hunts", "guard-open", "large", "cli"),
+        choices=("counts", "suite", "hunts", "guard-open", "large", "cli", "hunt-cli"),
         help="regenerate a single fixture",
     )
     args = ap.parse_args()
@@ -286,6 +324,8 @@ def main() -> int:
         freeze_large_suite(args.data_dir / "large_suite.json")
     if args.only in (None, "cli"):
         freeze_cli_outputs(args.data_dir / "cli_outputs.json")
+    if args.only in (None, "hunt-cli"):
+        freeze_hunt_outputs(args.data_dir / "hunt_outputs.json")
     return 0
 
 

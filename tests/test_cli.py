@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import re
 import time
 
 import pytest
@@ -288,6 +289,20 @@ def test_cli_matches_frozen_fixture(capsys, monkeypatch, row):
         code, out, _ = run(capsys, *want["argv"], ref)
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert (code, digest) == (want["exit"], want["sha256"]), want["argv"]
+
+
+def _hunt_fixture_id(row):
+    argv = row["argv"]
+    return f"n{argv[2]}m{argv[4]}-{argv[8]}" + ("-json" if "--json" in argv else "")
+
+
+@pytest.mark.parametrize("row", load_data("hunt_outputs.json")["hunts"], ids=_hunt_fixture_id)
+def test_hunt_matches_frozen_fixture(capsys, row):
+    # search --find-counterexample byte for byte, the clock reading masked
+    code, out, _ = run(capsys, *row["argv"])
+    out = re.sub(r"elapsed=[0-9.]+s", "elapsed=-", out)
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert (code, digest) == (row["exit"], row["sha256"])
 
 
 def test_canon(capsys, tmp_path):
