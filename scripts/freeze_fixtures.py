@@ -30,9 +30,10 @@ from gag.search import (
     FILTER_NAMES,
     SearchSpec,
     enumerate_models,
+    find_counterexamples,
     naive_enumerate,
 )
-from gag.theorems import TheoremId, run_check, run_suite, suite_to_json_obj
+from gag.theorems import TheoremId, run_suite, suite_to_json_obj
 from hunt_gaps import HUNTED
 
 # (order, gammas) grid where the oracle is feasible
@@ -42,6 +43,11 @@ GRID = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)]
 # is frozen; 13..16 were first frozen from the powerset sweeps that
 # listed ideal families before the closure route
 LARGE_ORDERS = tuple(range(9, 17))
+
+
+def _write(out: Path, doc: dict) -> None:
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {out}")
 
 
 def freeze_enum_counts(out: Path) -> None:
@@ -64,58 +70,48 @@ def freeze_enum_counts(out: Path) -> None:
                     f"  oracle n={n} m={m} {ax_name:4s} {filt:17s} -> {len(forms):4d}"
                     f"  ({time.time() - t0:.1f}s)"
                 )
-    doc = {
+    _write(out, {
         "comment": "class counts up to isomorphism, produced by the naive "
         "filter-all-tables oracle (factored per-table prefilter for m>1)",
         "counts": rows,
-    }
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {out}")
+    })
 
 
 def freeze_m5_suite(out: Path) -> None:
     g = paper_example()
-    doc = suite_to_json_obj(g, run_suite(g))
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {out}")
+    _write(out, suite_to_json_obj(g, run_suite(g)))
 
 
 def freeze_gap_hunts(out: Path) -> None:
     """Scan every enumerated model space we can afford and archive, per
     hunted check, the first failing model (or the fact that none exists
     in the scanned space)."""
-    spaces = [(n, m) for n, m in GRID] + [(4, 1)]
     hunted = [TheoremId.from_name(name) for name in HUNTED]
     findings: dict[str, dict] = {t.value: {"found": False} for t in hunted}
     scanned = []
-    for n, m in spaces:
+    for n, m in [*GRID, (4, 1)]:
         t0 = time.time()
-        res = enumerate_models(
+        space = enumerate_models(
             SearchSpec(n=n, m=m, axioms=AXIOM_SETS["agss"], workers=4)
         )
-        scanned.append({"order": n, "gammas": m, "classes": res.count})
-        for g in res.models:
-            for tid in hunted:
-                if findings[tid.value]["found"]:
-                    continue
-                rep = run_check(g, tid)
-                if rep.status == "fail":
-                    findings[tid.value] = {
-                        "found": True,
-                        "order": n,
-                        "gammas": m,
-                        "table": list(g.table),
-                        "condition": rep.counterexample.condition,
-                    }
-        print(f"  hunted n={n} m={m}: {res.count} classes ({time.time() - t0:.1f}s)")
-    doc = {
+        scanned.append({"order": n, "gammas": m, "classes": space.count})
+        left = [t for t in hunted if not findings[t.value]["found"]]
+        for tid, hunt in find_counterexamples(space, left).items():
+            if hunt.found:
+                findings[tid.value] = {
+                    "found": True,
+                    "order": n,
+                    "gammas": m,
+                    "table": list(hunt.model.table),
+                    "condition": hunt.report.counterexample.condition,
+                }
+        print(f"  hunted n={n} m={m}: {space.count} classes ({time.time() - t0:.1f}s)")
+    _write(out, {
         "comment": "first gap witness per converse-capable check over the "
         "scanned spaces; found=false means the scanned spaces hold none",
         "spaces": scanned,
         "findings": findings,
-    }
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {out}")
+    })
 
 
 @contextlib.contextmanager
@@ -154,17 +150,15 @@ def freeze_guard_open_suite(out: Path) -> None:
                          "suite": suite_to_json_obj(g, reports)}
                     )
     unreached = sorted(set(theorems._CONDITIONS) - reached)
-    doc = {
+    print(f"  {len(reached)} conditions from {len(models)} models ({time.time() - t0:.1f}s)")
+    _write(out, {
         "comment": "suite output with every guard forced open (_guard returns None, "
         "axiom_profile reports left-invertive and ag-star-star) on the "
         "lexicographically first order <= 3, m = 1 tables that together reach "
         f"{len(reached)} fail conditions; no order <= 3 table reaches: "
         + ", ".join(unreached),
         "models": models,
-    }
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"  {len(reached)} conditions from {len(models)} models ({time.time() - t0:.1f}s)")
-    print(f"wrote {out}")
+    })
 
 
 def difference_model(n: int) -> GammaGroupoid:
@@ -173,7 +167,8 @@ def difference_model(n: int) -> GammaGroupoid:
 
 
 def _cli_digest(argv: list[str], stdin_text: str = "") -> tuple[int, str]:
-    """Exit code and stdout sha256 of one in-process `gag` run."""
+    """Exit code and stdout sha256 of one in-process `gag` run, with any
+    clock reading `elapsed=...s` (search's text-mode # line) masked."""
     stdout = io.StringIO()
     real_stdin, sys.stdin = sys.stdin, io.StringIO(stdin_text)
     try:
@@ -181,7 +176,8 @@ def _cli_digest(argv: list[str], stdin_text: str = "") -> tuple[int, str]:
             code = gag_main(argv)
     finally:
         sys.stdin = real_stdin
-    return code, hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
+    text = re.sub(r"elapsed=[0-9.]+s", "elapsed=-", stdout.getvalue())
+    return code, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def freeze_large_suite(out: Path) -> None:
@@ -193,28 +189,16 @@ def freeze_large_suite(out: Path) -> None:
         code, digest = _cli_digest(["verify", "--json", "-"], serialize_model(difference_model(n)))
         rows.append({"order": n, "exit": code, "sha256": digest})
         print(f"  verify n={n}: exit {code} ({time.time() - t0:.1f}s)")
-    doc = {
+    _write(out, {
         "comment": "sha256 of the stdout of `gag verify --json -` and its exit code "
         "on x.y = y - x mod n (one operator, default labels)",
         "models": rows,
-    }
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {out}")
+    })
 
 
 # hunts frozen through the CLI: every check on the order-3 agss classes,
 # the converse-capable ones on the two-operator order-3 agss classes
 HUNT_SPACES = ((3, 1, tuple(t.value for t in TheoremId)), (3, 2, HUNTED))
-
-
-def hunt_digest(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout sha256 of one `gag search` hunt, with the
-    clock reading on its `#` line masked."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = gag_main(argv)
-    text = re.sub(r"elapsed=[0-9.]+s", "elapsed=-", stdout.getvalue())
-    return code, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def freeze_hunt_outputs(out: Path) -> None:
@@ -227,16 +211,14 @@ def freeze_hunt_outputs(out: Path) -> None:
             for json_flag in ([], ["--json"]):
                 argv = ["search", "--order", str(n), "--gammas", str(m), "--axiom", "agss",
                         "--find-counterexample", tid, *json_flag]
-                code, digest = hunt_digest(argv)
+                code, digest = _cli_digest(argv)
                 rows.append({"argv": argv, "exit": code, "sha256": digest})
-    doc = {
+    print(f"  {len(rows)} hunts ({time.time() - t0:.1f}s)")
+    _write(out, {
         "comment": "sha256 of stdout and exit code of `gag <argv>`, with the "
         "elapsed=...s reading on the text-mode # line replaced by elapsed=-",
         "hunts": rows,
-    }
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"  {len(rows)} hunts ({time.time() - t0:.1f}s)")
-    print(f"wrote {out}")
+    })
 
 
 def cli_commands(first: str) -> list[list[str]]:
@@ -286,16 +268,14 @@ def freeze_cli_outputs(out: Path) -> None:
     subcommands on every class of three small spaces and the example."""
     t0 = time.time()
     rows = [dict(row, outputs=cli_digests(row)) for row in cli_models()]
-    doc = {
+    print(f"  {len(rows)} models ({time.time() - t0:.1f}s)")
+    _write(out, {
         "comment": "sha256 of stdout and exit code of `gag <argv> <model>` on the "
         "order-2 classes with no axioms, the order-3 ag classes, the order-2 "
         "two-operator ag classes (each read from stdin, default labels) "
         "and @paper-example",
         "models": rows,
-    }
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"  {len(rows)} models ({time.time() - t0:.1f}s)")
-    print(f"wrote {out}")
+    })
 
 
 def main() -> int:

@@ -4,8 +4,9 @@
 The equivalence checks accept models that satisfy both structural laws
 but need not have a left identity, so the directions whose known
 arguments lean on one can fail; any such model is a finding.  This
-script sweeps every class of the requested sizes, runs the selected
-checks, revalidates each counterexample from scratch, and summarizes.
+script enumerates every agss class of the requested sizes, finds the
+least class failing each selected check, revalidates each witness from
+scratch, and summarizes.
 """
 
 import argparse
@@ -15,9 +16,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from gag.cli import _theorem_id
 from gag.fileformat import serialize_model
-from gag.search import AXIOM_SETS, SearchSpec, enumerate_models
-from gag.theorems import FAIL, TheoremId, revalidate_counterexample, run_check
+from gag.search import AXIOM_SETS, SearchSpec, enumerate_models, find_counterexamples
+from gag.theorems import TheoremId, revalidate_counterexample
 
 # converse-capable checks, hunted by default here and frozen in
 # tests/data/gap_hunts.json by freeze_fixtures.py
@@ -31,7 +33,7 @@ def main() -> int:
     ap.add_argument(
         "--theorem",
         action="append",
-        type=TheoremId.from_name,
+        type=_theorem_id,
         help="check to hunt; repeatable (default: the converse-capable set)",
     )
     ap.add_argument("--workers", type=int, default=4)
@@ -39,36 +41,30 @@ def main() -> int:
     args = ap.parse_args()
     hunted = args.theorem or [TheoremId.from_name(n) for n in HUNTED]
 
-    total_fails = 0
+    witnesses = 0
     bad_revalidations = 0
     for n in range(1, args.max_order + 1):
         for m in range(1, args.max_gammas + 1):
             t0 = time.time()
-            res = enumerate_models(
+            space = enumerate_models(
                 SearchSpec(n=n, m=m, axioms=AXIOM_SETS["agss"], workers=args.workers)
             )
-            hits = []
-            for g in res.models:
-                for tid in hunted:
-                    rep = run_check(g, tid)
-                    if rep.status == FAIL:
-                        ok = revalidate_counterexample(g, rep.counterexample)
-                        hits.append((g, rep, ok))
-                        total_fails += 1
-                        if not ok:
-                            bad_revalidations += 1
+            hits = [h for h in find_counterexamples(space, hunted).values() if h.found]
             print(
-                f"n={n} m={m}: {res.count} classes, {len(hits)} fail reports"
+                f"n={n} m={m}: {space.count} classes, {len(hits)} checks fail"
                 f" ({time.time() - t0:.1f}s)"
             )
-            for g, rep, ok in hits:
+            for h in hits:
+                ok = revalidate_counterexample(h.model, h.report.counterexample)
+                witnesses += 1
+                bad_revalidations += not ok
                 print(
-                    f"  {rep.theorem.value}: {rep.counterexample.condition}"
-                    f" table={g.table} revalidates={ok}"
+                    f"  {h.report.theorem.value}: {h.report.counterexample.condition}"
+                    f" table={h.model.table} scanned={h.scanned} revalidates={ok}"
                 )
                 if args.show_models:
-                    sys.stdout.write(serialize_model(g))
-    print(f"total fail reports: {total_fails}, failed revalidations: {bad_revalidations}")
+                    sys.stdout.write(serialize_model(h.model))
+    print(f"least witnesses: {witnesses}, failed revalidations: {bad_revalidations}")
     return 1 if bad_revalidations else 0
 
 

@@ -64,9 +64,9 @@ from .search import (
     count_models,
     enumerate_models,
     find_counterexample,
+    find_counterexamples,
     naive_enumerate,
     naive_enumerate_direct,
-    run_search,
 )
 from .subsets import (
     CarrierMismatchError,

@@ -42,8 +42,10 @@ from .search import (
     SearchSpec,
     SizeGuardError,
     canonical_model,
+    count_models,
+    enumerate_models,
+    find_counterexample,
     hunt_to_json_obj,
-    run_search,
     search_to_json_obj,
 )
 from .subsets import (
@@ -279,11 +281,9 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     if args.find_counterexample is not None:
-        target, theorem = "find-counterexample", args.find_counterexample
-    elif args.count:
-        target, theorem = "count", None
+        target = "find-counterexample"
     else:
-        target, theorem = "enumerate", None
+        target = "count" if args.count else "enumerate"
     try:
         spec = SearchSpec(
             n=args.order,
@@ -291,15 +291,15 @@ def cmd_search(args) -> int:
             axioms=AXIOM_SETS[args.axiom],
             filter=args.filter,
             target=target,
-            theorem=theorem,
+            theorem=args.find_counterexample,
             max_models=args.limit,
             time_budget=args.time_budget,
             workers=args.workers,
         )
     except ValueError as e:
         raise UsageError(str(e)) from e
-    result = run_search(spec)
     if target == "find-counterexample":
+        result = find_counterexample(spec)
         if args.json:
             _emit_json(hunt_to_json_obj(spec, result))
         else:
@@ -312,6 +312,7 @@ def cmd_search(args) -> int:
             )
         return 2 if result.found else 0
 
+    result = (count_models if args.count else enumerate_models)(spec)
     if args.json:
         _emit_json(search_to_json_obj(spec, result))
     else:
@@ -466,13 +467,14 @@ def build_parser() -> _Parser:
         default="any",
         help="keep only models with (or without) full intra-regularity (example: --filter non-intra-regular)",
     )
-    p.add_argument(
+    target = p.add_mutually_exclusive_group()
+    target.add_argument(
         "--find-counterexample",
         type=_theorem_id,
         metavar="ID",
         help=f"return the first enumerated model failing this check; one of: {_THEOREM_NAMES}",
     )
-    p.add_argument("--count", action="store_true", help="print the class count only (example: --count)")
+    target.add_argument("--count", action="store_true", help="print the class count only (example: --count)")
     p.add_argument("--limit", type=int, help="stop after this many distinct models (example: --limit 100)")
     p.add_argument(
         "--time-budget",

@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .model import GammaGroupoid, is_ag_star_star, is_left_invertive
 from .regularity import is_intra_regular
-from .theorems import TheoremId, TheoremReport, run_check
+from .theorems import FAIL, TheoremId, TheoremReport, run_check
 
 AXIOM_NAMES = ("left-invertive", "ag-star-star")
 AXIOM_SETS = {"ag": frozenset({"left-invertive"}), "agss": frozenset(AXIOM_NAMES)}
@@ -102,8 +102,8 @@ class SearchSpec:
         object.__setattr__(self, "filter", filt)
         if self.target not in ("enumerate", "count", "find-counterexample"):
             raise ValueError(f"unknown target {self.target!r}")
-        if self.target == "find-counterexample" and self.theorem is None:
-            raise ValueError("find-counterexample target needs a theorem")
+        if (self.target == "find-counterexample") != (self.theorem is not None):
+            raise ValueError("only the find-counterexample target takes a theorem, and needs one")
         if self.max_models is not None and self.max_models < 1:
             raise ValueError("max_models (--limit) must be at least 1")
         if self.time_budget is not None and self.time_budget <= 0:
@@ -403,28 +403,31 @@ def count_models(spec: SearchSpec) -> SearchResult:
     return SearchResult((), len(ordered), truncated, elapsed)
 
 
+def find_counterexamples(
+    space: SearchResult, theorems: Iterable[TheoremId]
+) -> dict[TheoremId, HuntResult]:
+    """Per check, the least model of `space` (an enumerate_models
+    result, so ascending canonical form) on which it fails, with that
+    report attached; no model when the space holds none.  Each model
+    runs every check not yet found, and the walk stops once all are."""
+    wanted = tuple(dict.fromkeys(theorems))
+    hunts: dict[TheoremId, HuntResult] = {}
+    for scanned, g in enumerate(space.models, 1):
+        if len(hunts) == len(wanted):
+            break
+        for tid in wanted:
+            if tid not in hunts:
+                report = run_check(g, tid)
+                if report.status == FAIL:
+                    hunts[tid] = HuntResult(g, report, scanned, space.truncated, space.elapsed)
+    missed = HuntResult(None, None, space.count, space.truncated, space.elapsed)
+    return {tid: hunts.get(tid, missed) for tid in wanted}
+
+
 def find_counterexample(spec: SearchSpec) -> HuntResult:
-    """First model (in emission order) whose report for spec.theorem is
-    a fail, with that report attached; no model when the scanned space
-    holds none."""
+    """The least model of the spec's space failing spec.theorem."""
     assert spec.theorem is not None
-    ordered, truncated, elapsed = _scan(spec)
-    scanned = 0
-    for c in sorted(ordered):
-        g = GammaGroupoid(spec.n, spec.m, c)
-        report = run_check(g, spec.theorem)
-        scanned += 1
-        if report.status == "fail":
-            return HuntResult(g, report, scanned, truncated, elapsed)
-    return HuntResult(None, None, scanned, truncated, elapsed)
-
-
-def run_search(spec: SearchSpec):
-    if spec.target == "enumerate":
-        return enumerate_models(spec)
-    if spec.target == "count":
-        return count_models(spec)
-    return find_counterexample(spec)
+    return find_counterexamples(enumerate_models(spec), (spec.theorem,))[spec.theorem]
 
 
 # --- naive oracles ----------------------------------------------------------

@@ -345,6 +345,14 @@ class TestUsageErrors:
             assert "unknown theorem id 'FOO'" in err, argv
             assert out == ""
 
+    def test_hunt_with_count(self, capsys):
+        code, out, err = run(
+            capsys, "search", "--order", "2", "--find-counterexample", "KI", "--count"
+        )
+        assert code == 64
+        assert "--find-counterexample" in err and "--count" in err
+        assert out == ""
+
     def test_dot_with_generated_from(self, capsys):
         code, out, err = run(
             capsys, "ideals", M5, "--kind", "left", "--generated-from", "b", "--dot"

@@ -1,10 +1,12 @@
 """Model enumeration up to isomorphism, canonical forms, hunts."""
 
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
-from conftest import load_data, models
+from conftest import DATA_DIR, load_data, models
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +21,7 @@ from gag import (
     count_models,
     enumerate_models,
     find_counterexample,
-    run_search,
+    find_counterexamples,
 )
 from gag import search
 from gag.search import (
@@ -356,10 +358,27 @@ def test_hunt_class_tallies_match_fixture():
         assert count_models(spec).count == row["classes"], row
 
 
-def test_run_search_dispatch():
-    assert run_search(SearchSpec(n=2, m=1, target="count")).count == 3
-    assert len(run_search(SearchSpec(n=2, m=1, target="enumerate")).models) == 3
-    assert not run_search(_hunt_spec(2, 1, TheoremId.KI)).found
+@pytest.mark.parametrize("n,m", [(3, 1), (3, 2)])
+def test_one_walk_hunts_like_separate_hunts(n, m):
+    # All 31 checks over one enumeration give what 31 single-check
+    # hunts give, each of which enumerates the space again.
+    space = enumerate_models(SearchSpec(n=n, m=m, axioms=AGSS))
+    together = find_counterexamples(space, TheoremId)
+    assert list(together) == list(TheoremId)
+    for tid, got in together.items():
+        alone = find_counterexample(_hunt_spec(n, m, tid))
+        assert (got.model, got.report, got.scanned) == (alone.model, alone.report, alone.scanned)
+    assert any(h.found for h in together.values())
+
+
+def test_gap_hunt_fixture_refreezes_byte_identical(tmp_path, monkeypatch):
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    monkeypatch.syspath_prepend(str(scripts))
+    spec = importlib.util.spec_from_file_location("freeze_under_test", scripts / "freeze_fixtures.py")
+    freezer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(freezer)
+    freezer.freeze_gap_hunts(tmp_path / "g.json")
+    assert (tmp_path / "g.json").read_bytes() == (DATA_DIR / "gap_hunts.json").read_bytes()
 
 
 def test_spec_validation():
@@ -373,6 +392,10 @@ def test_spec_validation():
         SearchSpec(n=2, m=1, filter="bogus")
     with pytest.raises(ValueError):
         SearchSpec(n=2, m=1, target="find-counterexample")
+    with pytest.raises(ValueError):
+        SearchSpec(n=2, m=1, theorem=TheoremId.KI)
+    with pytest.raises(ValueError):
+        SearchSpec(n=2, m=1, target="count", theorem=TheoremId.KI)
     with pytest.raises(ValueError):
         SearchSpec(n=2, m=1, target="bogus")
     with pytest.raises(ValueError):
