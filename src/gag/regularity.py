@@ -26,15 +26,6 @@ class IntraWitness:
     delta: int
     gamma: int
 
-    def value(self, g: GammaGroupoid, a: int) -> int:
-        """Evaluate (x *_beta (a *_delta a)) *_gamma y in g."""
-        aa = g.product(a, self.delta, a)
-        inner = g.product(self.x, self.beta, aa)
-        return g.product(inner, self.gamma, self.y)
-
-    def validates(self, g: GammaGroupoid, a: int) -> bool:
-        return self.value(g, a) == a
-
 
 def intra_witness(g: GammaGroupoid, a: int) -> Optional[IntraWitness]:
     """Lexicographically least witness under (x, y, beta, delta, gamma),

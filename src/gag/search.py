@@ -18,11 +18,13 @@ that disagree prune the branch at once.  Only branches without a valid
 completion are cut, so the leaves and their order are those of a plain
 DFS that checks every instance once its cells are known.
 
-Completed tables are filtered, canonicalized and deduplicated; the
-emitted set is provably independent of the worker count because
-per-prefix results are merged in prefix order and only first
-occurrences matter.  Canonicalization reads one precomputed table of
-relabelings per (n, m).
+Completed tables are filtered and canonicalized one leaf at a time, in
+one lazy stream that the scan deduplicates as it reads, so `--limit`
+and `--time-budget` are honoured at the next leaf.  A worker pool
+reads the same stream in chunks of prefixes, merged back in prefix
+order; since only first occurrences matter, the emitted set and its
+order are independent of the worker count.  Canonicalization reads
+one precomputed table of relabelings per (n, m).
 
 A naive filter-all-tables oracle is kept alongside as ground truth; the
 pruned enumerator is required to reproduce its output exactly wherever
@@ -39,9 +41,10 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .fileformat import model_to_json_obj
 from .model import GammaGroupoid, is_ag_star_star, is_left_invertive
 from .regularity import is_intra_regular
-from .theorems import FAIL, TheoremId, TheoremReport, run_check
+from .theorems import FAIL, TheoremId, TheoremReport, run_check, suite_to_json_obj
 
 AXIOM_NAMES = ("left-invertive", "ag-star-star")
 AXIOM_SETS = {"ag": frozenset({"left-invertive"}), "agss": frozenset(AXIOM_NAMES)}
@@ -71,9 +74,9 @@ class SearchSpec:
     that are (or are not) intra-regular.  `max_models` keeps at most
     that many distinct representatives; `time_budget` (seconds) stops
     the scan on the clock and makes the run non-reproducible.  A result
-    is marked truncated only when a class beyond the limit exists or the
-    budget ran out before the last chunk; a limit met by the last class
-    of the space gives a complete, untruncated result.
+    is marked truncated only when a class beyond the limit exists or a
+    leaf arrived after the budget was spent; a limit met by the last
+    class of the space gives a complete, untruncated result.
     """
 
     n: int
@@ -268,7 +271,7 @@ def _dfs(
 
     watch[c] lists cells above c that must take c's value once c is
     assigned; forced[c] is the value c must take, or -1.  Both are
-    restored on backtrack, so one pair serves a whole chunk.
+    restored on backtrack, so one pair serves a whole leaf stream.
     """
     if cell == total:
         if all(t[t[i] * s + p] == t[t[j] * s + q] for i, s, p, j, q in ready[total]):
@@ -325,68 +328,63 @@ def _passes_filter(g: GammaGroupoid, filt: str) -> bool:
     return holds if filt == "intra-regular" else not holds
 
 
-def _enumerate_chunk(args) -> list[tuple[int, ...]]:
-    """Complete every prefix in the chunk; return locally deduplicated
-    canonical forms in discovery order."""
-    n, m, axioms, filt, prefixes = args
+def _leaves(
+    n: int, m: int, axioms: frozenset, filt: str, prefixes: Iterable[tuple[int, ...]]
+) -> Iterator[Optional[tuple[int, ...]]]:
+    """One item per DFS leaf below the prefixes, in order: the leaf's
+    canonical form, or None when the filter drops it."""
     total = n * n * m
     ready = _watch_index(compile_instances(n, m, axioms), n, total)
     watch: list[list[int]] = [[] for _ in range(total)]
     forced = [-1] * total
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[int, ...]] = []
     for prefix in prefixes:
         t = [-1] * total
         t[:n] = prefix
         for flat in _dfs(t, n, total, n, ready, watch, forced):
             g = GammaGroupoid(n, m, flat)
-            if not _passes_filter(g, filt):
-                continue
-            c = canonicalize(g)
-            if c not in seen:
-                seen.add(c)
-                out.append(c)
-    return out
+            yield canonicalize(g) if _passes_filter(g, filt) else None
 
 
-def _chunked_prefixes(n: int, workers: int) -> list[list[tuple[int, ...]]]:
-    prefixes = list(itertools.product(range(n), repeat=n))
-    slices = max(1, min(len(prefixes), workers * 4))
-    size = (len(prefixes) + slices - 1) // slices
-    return [prefixes[i : i + size] for i in range(0, len(prefixes), size)]
+def _pool_task(args) -> list[Optional[tuple[int, ...]]]:
+    """A worker's chunk of the leaf stream, first occurrences only."""
+    return list(dict.fromkeys(_leaves(*args)))
 
 
 def _scan(spec: SearchSpec) -> tuple[list[tuple[int, ...]], bool, float]:
     """Canonical forms in discovery order (first occurrences only).
 
-    truncated=True means the collected set is (or, on the clock, may be)
-    incomplete: an unseen class turned up past `max_models`, or the time
-    budget ran out with chunks left.  The set and its order are independent
-    of the worker count; time-budget runs are the documented exception
-    to reproducibility.  Orders and operator counts past the
+    One worker reads the leaf stream over all prefixes; a pool splits
+    the prefixes into chunks and its tasks are read back in prefix
+    order, so the set and its order are independent of the worker
+    count.  `max_models` is checked at each new class and the time
+    budget at every leaf after the first.  truncated=True means the
+    collected set is (or, on the clock, may be) incomplete: an unseen
+    class turned up past `max_models`, or another leaf arrived after
+    the budget was spent.  Time-budget runs are the documented
+    exception to reproducibility.  Orders and operator counts past the
     canonicalization guard are refused before any work starts.
     """
     _check_canon_size(spec.n, spec.m)
     t0 = time.monotonic()
-    chunks = _chunked_prefixes(spec.n, spec.workers)
-    args = [(spec.n, spec.m, spec.axioms, spec.filter, chunk) for chunk in chunks]
-    pooled = spec.workers > 1 and len(args) > 1
+    prefixes = list(itertools.product(range(spec.n), repeat=spec.n))
+    space = (spec.n, spec.m, spec.axioms, spec.filter)
+    pooled = spec.workers > 1 and len(prefixes) > 1
     seen: dict[tuple[int, ...], None] = {}  # insertion-ordered set
     with Pool(spec.workers) if pooled else nullcontext() as pool:
-        results = pool.imap(_enumerate_chunk, args) if pooled else map(_enumerate_chunk, args)
-        for done, result in enumerate(results, 1):
-            for c in result:
-                if c in seen:
-                    continue
-                if len(seen) == spec.max_models:
-                    return list(seen), True, time.monotonic() - t0
-                seen[c] = None
-            if (
-                done < len(args)
-                and spec.time_budget is not None
-                and time.monotonic() - t0 > spec.time_budget
-            ):
+        if pooled:
+            size = -(-len(prefixes) // (spec.workers * 4))
+            chunks = [(*space, prefixes[i : i + size]) for i in range(0, len(prefixes), size)]
+            leaves = itertools.chain.from_iterable(pool.imap(_pool_task, chunks))
+        else:
+            leaves = _leaves(*space, prefixes)
+        for done, c in enumerate(leaves):
+            if done and spec.time_budget is not None and time.monotonic() - t0 > spec.time_budget:
                 return list(seen), True, time.monotonic() - t0
+            if c is None or c in seen:
+                continue
+            if len(seen) == spec.max_models:
+                return list(seen), True, time.monotonic() - t0
+            seen[c] = None
     return list(seen), False, time.monotonic() - t0
 
 
@@ -440,6 +438,19 @@ def _passes_axioms(g: GammaGroupoid, axioms: frozenset) -> bool:
     return True
 
 
+def _oracle_forms(
+    n: int, m: int, tables: Iterable[Sequence[int]], axioms: frozenset, filt: str
+) -> list[tuple[int, ...]]:
+    """Sorted canonical forms of the tables that pass the model-level
+    law checks and the filter."""
+    forms: set[tuple[int, ...]] = set()
+    for flat in tables:
+        g = GammaGroupoid(n, m, flat)
+        if _passes_axioms(g, axioms) and _passes_filter(g, filt):
+            forms.add(canonicalize(g))
+    return sorted(forms)
+
+
 def naive_enumerate_direct(
     n: int, m: int,
     axioms: frozenset = frozenset({"left-invertive"}),
@@ -447,15 +458,7 @@ def naive_enumerate_direct(
 ) -> list[tuple[int, ...]]:
     """Literal sweep of all n^(n*n*m) tables through the model-level law
     checks; the ground-truth oracle for the pruned enumerator."""
-    forms: set[tuple[int, ...]] = set()
-    for flat in itertools.product(range(n), repeat=n * n * m):
-        g = GammaGroupoid(n, m, flat)
-        if not _passes_axioms(g, axioms):
-            continue
-        if not _passes_filter(g, filt):
-            continue
-        forms.add(canonicalize(g))
-    return sorted(forms)
+    return _oracle_forms(n, m, itertools.product(range(n), repeat=n * n * m), axioms, filt)
 
 
 def _interleave(singles: Sequence[Sequence[int]], n: int, m: int) -> tuple[int, ...]:
@@ -481,15 +484,8 @@ def naive_enumerate(
         flat for flat in itertools.product(range(n), repeat=n * n)
         if _passes_axioms(GammaGroupoid(n, 1, flat), axioms)
     ]
-    forms: set[tuple[int, ...]] = set()
-    for combo in itertools.product(singles, repeat=m):
-        g = GammaGroupoid(n, m, _interleave(combo, n, m))
-        if not _passes_axioms(g, axioms):
-            continue
-        if not _passes_filter(g, filt):
-            continue
-        forms.add(canonicalize(g))
-    return sorted(forms)
+    combos = (_interleave(c, n, m) for c in itertools.product(singles, repeat=m))
+    return _oracle_forms(n, m, combos, axioms, filt)
 
 
 # --- serialization ----------------------------------------------------------
@@ -514,8 +510,6 @@ def spec_to_json_obj(spec: SearchSpec) -> dict:
 def search_to_json_obj(spec: SearchSpec, result: SearchResult) -> dict:
     # elapsed is deliberately text-mode only: structured output must be
     # byte-identical across runs and worker counts
-    from .fileformat import model_to_json_obj
-
     out = {
         "search": spec_to_json_obj(spec),
         "count": result.count,
@@ -527,9 +521,6 @@ def search_to_json_obj(spec: SearchSpec, result: SearchResult) -> dict:
 
 
 def hunt_to_json_obj(spec: SearchSpec, result: HuntResult) -> dict:
-    from .fileformat import model_to_json_obj
-    from .theorems import suite_to_json_obj
-
     out = {
         "search": spec_to_json_obj(spec),
         "scanned": result.scanned,

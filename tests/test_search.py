@@ -95,7 +95,7 @@ def _reference_leaves(n, m, axioms, prefix):
 
 class _Engine:
     """The production DFS with one watch index and one set of watch lists
-    shared by every prefix, as in a worker's chunk."""
+    shared by every prefix, as in one leaf stream."""
 
     def __init__(self, n, m, axioms):
         self.n, self.m, self.total = n, m, n * n * m
@@ -272,8 +272,8 @@ def test_workers_do_not_change_results():
 
 
 def test_time_budget_truncates_to_a_subset():
-    # Budgeted runs stop after the first chunk here; how much that chunk
-    # finds depends on the worker count, so no exact count is asserted.
+    # Budgeted runs stop at the second leaf here; a pool hands its leaves
+    # over a chunk at a time, so no exact count is asserted.
     full = {g.table for g in enumerate_models(SearchSpec(n=4, m=1)).models}
     assert len(full) == 331
     for workers in (1, 2):
@@ -285,8 +285,8 @@ def test_time_budget_truncates_to_a_subset():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_time_budget_spent_after_the_last_chunk_is_not_a_truncation(workers):
-    # One prefix, so one chunk: once it is in, nothing was cut short.
+def test_time_budget_spent_after_the_last_leaf_is_not_a_truncation(workers):
+    # One leaf: once it is in, nothing was cut short.
     res = count_models(SearchSpec(n=1, m=1, time_budget=1e-9, workers=workers))
     assert res.count == 1
     assert not res.truncated
@@ -304,6 +304,35 @@ def test_limit_truncates_only_when_a_class_is_left_out(n, limit, truncated, work
     res = count_models(SearchSpec(n=n, m=1, axioms=AG, max_models=limit, workers=workers))
     assert res.count == limit
     assert res.truncated is truncated
+
+
+def _counting_canonicalize(monkeypatch):
+    calls = []
+    real = search.canonicalize
+
+    def counted(g):
+        calls.append(None)
+        return real(g)
+
+    monkeypatch.setattr(search, "canonicalize", counted)
+    return calls
+
+
+def test_limit_is_seen_at_the_next_leaf(monkeypatch):
+    # The first leaf gives the one class allowed and the second, a new
+    # class, shows that one was left out; no further leaf is canonicalized.
+    calls = _counting_canonicalize(monkeypatch)
+    res = count_models(SearchSpec(n=5, m=1, axioms=AGSS, max_models=1))
+    assert (res.count, res.truncated) == (1, True)
+    assert len(calls) <= 2
+
+
+def test_time_budget_is_seen_at_the_next_leaf(monkeypatch):
+    # The clock passes the 1 s budget as soon as the first leaf is in.
+    calls = _counting_canonicalize(monkeypatch)
+    monkeypatch.setattr(search.time, "monotonic", lambda: 2.0 if calls else 0.0)
+    res = enumerate_models(SearchSpec(n=3, m=1, axioms=AG, time_budget=1.0))
+    assert (res.count, res.truncated) == (1, True)
 
 
 def test_max_models_prefix_of_full_run():
