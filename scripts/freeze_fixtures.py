@@ -221,6 +221,30 @@ def freeze_hunt_outputs(out: Path) -> None:
     })
 
 
+# searches frozen through the CLI where no oracle reaches: the order-5
+# agss census and the order-4 two-operator agss census
+SEARCH_ARGVS = (
+    ["search", "--order", "5", "--axiom", "agss", "--json"],
+    ["search", "--order", "4", "--gammas", "2", "--axiom", "agss", "--json"],
+)
+
+
+def freeze_search_outputs(out: Path) -> None:
+    """Archive the stdout sha256 and exit code of `gag search --json`
+    over the spaces in SEARCH_ARGVS."""
+    rows = []
+    for argv in SEARCH_ARGVS:
+        t0 = time.time()
+        code, digest = _cli_digest(argv)
+        rows.append({"argv": argv, "exit": code, "sha256": digest})
+        print(f"  {' '.join(argv)}: exit {code} ({time.time() - t0:.1f}s)")
+    _write(out, {
+        "comment": "sha256 of stdout and exit code of `gag <argv>` on spaces "
+        "beyond the naive oracle; regression-only",
+        "searches": rows,
+    })
+
+
 def cli_commands(first: str) -> list[list[str]]:
     """The frozen subcommand lines; `first` is the model's first element."""
     generated = [
@@ -287,7 +311,8 @@ def main() -> int:
     )
     ap.add_argument(
         "--only",
-        choices=("counts", "suite", "hunts", "guard-open", "large", "cli", "hunt-cli"),
+        choices=("counts", "suite", "hunts", "guard-open", "large", "cli", "hunt-cli",
+                 "search-cli"),
         help="regenerate a single fixture",
     )
     args = ap.parse_args()
@@ -306,6 +331,8 @@ def main() -> int:
         freeze_cli_outputs(args.data_dir / "cli_outputs.json")
     if args.only in (None, "hunt-cli"):
         freeze_hunt_outputs(args.data_dir / "hunt_outputs.json")
+    if args.only in (None, "search-cli"):
+        freeze_search_outputs(args.data_dir / "search_outputs.json")
     return 0
 
 

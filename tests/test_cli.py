@@ -305,6 +305,16 @@ def test_hunt_matches_frozen_fixture(capsys, row):
     assert (code, digest) == (row["exit"], row["sha256"])
 
 
+@pytest.mark.parametrize(
+    "row", load_data("search_outputs.json")["searches"], ids=lambda r: "-".join(r["argv"][1:-1])
+)
+def test_search_matches_frozen_fixture(capsys, row):
+    # search --json on spaces no oracle reaches, byte for byte
+    code, out, _ = run(capsys, *row["argv"])
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert (code, digest) == (row["exit"], row["sha256"])
+
+
 def test_canon(capsys, tmp_path):
     code, out, _ = run(capsys, "canon", M5)
     assert code == 0
