@@ -14,17 +14,19 @@ both are assigned it is checked at once; if only the smaller is
 assigned, the larger is forced to its value; otherwise the larger is
 put on the smaller's watch list and is forced when the smaller is
 assigned.  A forced cell tries only its forced value, and two forcings
-that disagree prune the branch at once.  Only branches without a valid
-completion are cut, so the leaves and their order are those of a plain
-DFS that checks every instance once its cells are known.
+that disagree prune the branch at once.
 
-Completed tables are filtered and canonicalized one leaf at a time, in
-one lazy stream that the scan deduplicates as it reads, so `--limit`
-and `--time-budget` are honoured at the next leaf.  A worker pool
-reads the same stream in chunks of prefixes, merged back in prefix
-order; since only first occurrences matter, the emitted set and its
-order are independent of the worker count.  Canonicalization reads
-one precomputed table of relabelings per (n, m).
+Symmetry is broken by lex-leader constraints: the DFS keeps the
+relabelings of elements and operators that are still tied with the
+partial table, and cuts a branch as soon as one of them is smaller on
+cells that are all assigned.  The laws and the filter are invariant
+under isomorphism, so the least table of every class survives, and
+the leaves are exactly the canonical forms, distinct and in ascending
+order.  The filter runs once per class and nothing is deduplicated,
+so `--limit` keeps the least classes and `--time-budget` is honoured
+at the next leaf.  A worker pool reads the same leaf stream in chunks
+of prefixes, merged back in prefix order, so the emitted classes and
+their order are independent of the worker count.
 
 A naive filter-all-tables oracle is kept alongside as ground truth; the
 pruned enumerator is required to reproduce its output exactly wherever
@@ -139,7 +141,8 @@ class HuntResult:
 # --- canonical forms --------------------------------------------------------
 
 # (n, m) -> one (inv, src) pair per relabeling: the relabeled table is
-# [inv[t[x]] for x in src].  Filled lazily, after the size guard.
+# [inv[t[x]] for x in src].  The identity comes first.  Filled lazily,
+# after the size guard.
 _RELABELINGS: dict[tuple[int, int], tuple[tuple[list[int], list[int]], ...]] = {}
 # below this many surviving relabelings, canonicalize compares whole rows
 _FEW_RELABELINGS = 4
@@ -262,16 +265,41 @@ def _watch_index(instances: Sequence[tuple], start: int, total: int) -> list[lis
     return ready
 
 
+def _lex_ties(t: list[int], cell: int, ties: Sequence[tuple]) -> Optional[list[tuple]]:
+    """The relabelings still tied with t once cells up to `cell` are
+    assigned, or None when one of them is already smaller.
+
+    Each tie is (inv, src, k): the relabeled table [inv[t[x]] for x in
+    src] equals t before position k.  k walks forward while both sides
+    of position k are assigned; a larger relabeled value unties it for
+    good, a smaller one shows t is not the least of its class.
+    """
+    tied = []
+    for inv, src, k in ties:
+        while k <= cell and src[k] <= cell:
+            v = inv[t[src[k]]]
+            if v != t[k]:
+                break
+            k += 1
+        else:
+            tied.append((inv, src, k))
+            continue
+        if v < t[k]:
+            return None
+    return tied
+
+
 def _dfs(
     t: list[int], cell: int, total: int, n: int, ready: Sequence[Sequence[tuple]],
-    watch: list[list[int]], forced: list[int],
+    watch: list[list[int]], forced: list[int], ties: Sequence[tuple],
 ) -> Iterator[tuple[int, ...]]:
-    """Every completion of t[:cell] that satisfies all instances, in
-    ascending lexicographic order.
+    """Every completion of t[:cell] that satisfies all instances and is
+    the least table of its class, in ascending lexicographic order.
 
     watch[c] lists cells above c that must take c's value once c is
     assigned; forced[c] is the value c must take, or -1.  Both are
     restored on backtrack, so one pair serves a whole leaf stream.
+    `ties` are the relabelings still tied with t[:cell] (see _lex_ties).
     """
     if cell == total:
         if all(t[t[i] * s + p] == t[t[j] * s + q] for i, s, p, j, q in ready[total]):
@@ -314,7 +342,9 @@ def _dfs(
                     watch[b].append(a)
                     pushed.append(b)
             else:
-                yield from _dfs(t, cell + 1, total, n, ready, watch, forced)
+                tied = _lex_ties(t, cell, ties)
+                if tied is not None:
+                    yield from _dfs(t, cell + 1, total, n, ready, watch, forced, tied)
         for b in pushed:
             watch[b].pop()
         for a in fixed:
@@ -331,37 +361,40 @@ def _passes_filter(g: GammaGroupoid, filt: str) -> bool:
 def _leaves(
     n: int, m: int, axioms: frozenset, filt: str, prefixes: Iterable[tuple[int, ...]]
 ) -> Iterator[Optional[tuple[int, ...]]]:
-    """One item per DFS leaf below the prefixes, in order: the leaf's
+    """One item per DFS leaf below the prefixes, in order: the leaf, a
     canonical form, or None when the filter drops it."""
     total = n * n * m
     ready = _watch_index(compile_instances(n, m, axioms), n, total)
     watch: list[list[int]] = [[] for _ in range(total)]
     forced = [-1] * total
+    ties = [(inv, src, 0) for inv, src in _relabelings(n, m)[1:]]
     for prefix in prefixes:
         t = [-1] * total
         t[:n] = prefix
-        for flat in _dfs(t, n, total, n, ready, watch, forced):
-            g = GammaGroupoid(n, m, flat)
-            yield canonicalize(g) if _passes_filter(g, filt) else None
+        tied = _lex_ties(t, n - 1, ties)
+        if tied is None:
+            continue
+        for flat in _dfs(t, n, total, n, ready, watch, forced, tied):
+            yield flat if _passes_filter(GammaGroupoid(n, m, flat), filt) else None
 
 
 def _pool_task(args) -> list[Optional[tuple[int, ...]]]:
-    """A worker's chunk of the leaf stream, first occurrences only."""
-    return list(dict.fromkeys(_leaves(*args)))
+    """A worker's chunk of the leaf stream."""
+    return list(_leaves(*args))
 
 
 def _scan(spec: SearchSpec) -> tuple[list[tuple[int, ...]], bool, float]:
-    """Canonical forms in discovery order (first occurrences only).
+    """Canonical forms in ascending order.
 
     One worker reads the leaf stream over all prefixes; a pool splits
     the prefixes into chunks and its tasks are read back in prefix
-    order, so the set and its order are independent of the worker
-    count.  `max_models` is checked at each new class and the time
+    order, so the classes and their order are independent of the
+    worker count.  `max_models` is checked at each class and the time
     budget at every leaf after the first.  truncated=True means the
-    collected set is (or, on the clock, may be) incomplete: an unseen
-    class turned up past `max_models`, or another leaf arrived after
-    the budget was spent.  Time-budget runs are the documented
-    exception to reproducibility.  Orders and operator counts past the
+    collected set is (or, on the clock, may be) incomplete: a class
+    turned up past `max_models`, or another leaf arrived after the
+    budget was spent.  Time-budget runs are the documented exception
+    to reproducibility.  Orders and operator counts past the
     canonicalization guard are refused before any work starts.
     """
     _check_canon_size(spec.n, spec.m)
@@ -369,7 +402,7 @@ def _scan(spec: SearchSpec) -> tuple[list[tuple[int, ...]], bool, float]:
     prefixes = list(itertools.product(range(spec.n), repeat=spec.n))
     space = (spec.n, spec.m, spec.axioms, spec.filter)
     pooled = spec.workers > 1 and len(prefixes) > 1
-    seen: dict[tuple[int, ...], None] = {}  # insertion-ordered set
+    found: list[tuple[int, ...]] = []
     with Pool(spec.workers) if pooled else nullcontext() as pool:
         if pooled:
             size = -(-len(prefixes) // (spec.workers * 4))
@@ -379,26 +412,26 @@ def _scan(spec: SearchSpec) -> tuple[list[tuple[int, ...]], bool, float]:
             leaves = _leaves(*space, prefixes)
         for done, c in enumerate(leaves):
             if done and spec.time_budget is not None and time.monotonic() - t0 > spec.time_budget:
-                return list(seen), True, time.monotonic() - t0
-            if c is None or c in seen:
+                return found, True, time.monotonic() - t0
+            if c is None:
                 continue
-            if len(seen) == spec.max_models:
-                return list(seen), True, time.monotonic() - t0
-            seen[c] = None
-    return list(seen), False, time.monotonic() - t0
+            if len(found) == spec.max_models:
+                return found, True, time.monotonic() - t0
+            found.append(c)
+    return found, False, time.monotonic() - t0
 
 
 def enumerate_models(spec: SearchSpec) -> SearchResult:
     """One representative per isomorphism class satisfying the required
     axioms and filter, emitted in ascending canonical form."""
-    ordered, truncated, elapsed = _scan(spec)
-    models = tuple(GammaGroupoid(spec.n, spec.m, c) for c in sorted(ordered))
+    forms, truncated, elapsed = _scan(spec)
+    models = tuple(GammaGroupoid(spec.n, spec.m, c) for c in forms)
     return SearchResult(models, len(models), truncated, elapsed)
 
 
 def count_models(spec: SearchSpec) -> SearchResult:
-    ordered, truncated, elapsed = _scan(spec)
-    return SearchResult((), len(ordered), truncated, elapsed)
+    forms, truncated, elapsed = _scan(spec)
+    return SearchResult((), len(forms), truncated, elapsed)
 
 
 def find_counterexamples(

@@ -93,6 +93,11 @@ def _reference_leaves(n, m, axioms, prefix):
     return list(_reference_dfs(_prefixed(n, m, prefix), n, n * n * m, n, instances))
 
 
+def _untied(n, m):
+    # every relabeling but the identity, none yet compared with the table
+    return [(inv, src, 0) for inv, src in search._relabelings(n, m)[1:]]
+
+
 class _Engine:
     """The production DFS with one watch index and one set of watch lists
     shared by every prefix, as in one leaf stream."""
@@ -102,14 +107,32 @@ class _Engine:
         self.ready = search._watch_index(compile_instances(n, m, axioms), n, self.total)
         self.watch = [[] for _ in range(self.total)]
         self.forced = [-1] * self.total
+        self.ties = _untied(n, m)
 
     def leaves(self, prefix):
         t = _prefixed(self.n, self.m, prefix)
-        out = list(search._dfs(t, self.n, self.total, self.n, self.ready, self.watch, self.forced))
+        tied = search._lex_ties(t, self.n - 1, self.ties)
+        if tied is None:
+            return []
+        out = list(search._dfs(t, self.n, self.total, self.n, self.ready, self.watch, self.forced, tied))
         # every watch and forcing is undone on the way back up
         assert self.watch == [[] for _ in range(self.total)]
         assert self.forced == [-1] * self.total
         return out
+
+
+def _reference_classes(n, m, axioms):
+    """prefix -> the sorted canonical forms, over every reference leaf,
+    whose first n cells are that prefix."""
+    forms = {
+        _reference_canonicalize(GammaGroupoid(n, m, flat))
+        for prefix in itertools.product(range(n), repeat=n)
+        for flat in _reference_leaves(n, m, axioms, prefix)
+    }
+    by_prefix = {prefix: [] for prefix in itertools.product(range(n), repeat=n)}
+    for c in sorted(forms):
+        by_prefix[c[:n]].append(c)
+    return by_prefix
 
 
 @pytest.mark.parametrize(
@@ -118,12 +141,12 @@ class _Engine:
     ids=lambda v: "agss" if v == AGSS else "ag" if v == AG else str(v),
 )
 def test_dfs_leaf_sequence_matches_reference(n, m, axioms):
+    # The leaves are the canonical forms of the reference leaves, each
+    # once, ascending.
     engine = _Engine(n, m, axioms)
-    got, want = [], []
+    want = _reference_classes(n, m, axioms)
     for prefix in itertools.product(range(n), repeat=n):
-        got += engine.leaves(prefix)
-        want += _reference_leaves(n, m, axioms, prefix)
-    assert got == want
+        assert engine.leaves(prefix) == want[prefix], prefix
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -132,21 +155,27 @@ def test_dfs_matches_reference_on_every_prefix(m, axioms):
     # Prefixes in reverse order through one engine: each prefix's leaves
     # must not depend on what ran before it.
     engine = _Engine(3, m, axioms)
+    want = _reference_classes(3, m, axioms)
     for prefix in reversed(list(itertools.product(range(3), repeat=3))):
-        assert engine.leaves(prefix) == _reference_leaves(3, m, axioms, prefix), prefix
+        assert engine.leaves(prefix) == want[prefix], prefix
 
 
 @pytest.mark.parametrize("axioms", [AG, AGSS], ids=["ag", "agss"])
 def test_dfs_on_a_prefix_that_fills_the_table(axioms):
     # The first free cell is `total`: the instances filed there are checked
-    # on the finished table, without indexing past the watch lists.
+    # on the finished table, without indexing past the watch lists, and
+    # the prefix check alone decides whether the table is canonical.
     n, m, total = 2, 1, 4
     ready = search._watch_index(compile_instances(n, m, axioms), total, total)
     watch = [[] for _ in range(total)]
     forced = [-1] * total
     for flat in itertools.product(range(n), repeat=total):
-        got = list(search._dfs(list(flat), total, total, n, ready, watch, forced))
-        holds = search._passes_axioms(GammaGroupoid(n, m, flat), axioms)
+        tied = search._lex_ties(list(flat), total - 1, _untied(n, m))
+        got = [] if tied is None else list(
+            search._dfs(list(flat), total, total, n, ready, watch, forced, tied)
+        )
+        g = GammaGroupoid(n, m, flat)
+        holds = search._passes_axioms(g, axioms) and _reference_canonicalize(g) == flat
         assert got == ([flat] if holds else [])
 
 
@@ -306,33 +335,49 @@ def test_limit_truncates_only_when_a_class_is_left_out(n, limit, truncated, work
     assert res.truncated is truncated
 
 
-def _counting_canonicalize(monkeypatch):
-    calls = []
-    real = search.canonicalize
+def _counting_leaves(monkeypatch):
+    # every DFS leaf goes through the filter once
+    leaves = []
+    real = search._passes_filter
 
-    def counted(g):
-        calls.append(None)
-        return real(g)
+    def counted(g, filt):
+        leaves.append(None)
+        return real(g, filt)
 
-    monkeypatch.setattr(search, "canonicalize", counted)
-    return calls
+    monkeypatch.setattr(search, "_passes_filter", counted)
+    return leaves
 
 
 def test_limit_is_seen_at_the_next_leaf(monkeypatch):
-    # The first leaf gives the one class allowed and the second, a new
-    # class, shows that one was left out; no further leaf is canonicalized.
-    calls = _counting_canonicalize(monkeypatch)
+    # The first leaf gives the one class allowed and the second shows
+    # that one was left out; no further leaf is reached.
+    leaves = _counting_leaves(monkeypatch)
     res = count_models(SearchSpec(n=5, m=1, axioms=AGSS, max_models=1))
     assert (res.count, res.truncated) == (1, True)
-    assert len(calls) <= 2
+    assert 1 <= len(leaves) <= 2
 
 
 def test_time_budget_is_seen_at_the_next_leaf(monkeypatch):
     # The clock passes the 1 s budget as soon as the first leaf is in.
-    calls = _counting_canonicalize(monkeypatch)
-    monkeypatch.setattr(search.time, "monotonic", lambda: 2.0 if calls else 0.0)
+    leaves = _counting_leaves(monkeypatch)
+    monkeypatch.setattr(search.time, "monotonic", lambda: 2.0 if leaves else 0.0)
     res = enumerate_models(SearchSpec(n=3, m=1, axioms=AG, time_budget=1.0))
     assert (res.count, res.truncated) == (1, True)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "n, m, axioms, limit",
+    [(4, 1, AG, 50), (3, 2, AG, 111), (5, 1, AGSS, 3)],
+    ids=["n4-ag", "n3m2-ag", "n5-agss"],
+)
+def test_limit_keeps_the_least_classes(n, m, axioms, limit, workers):
+    # Classes are found in ascending canonical form, so a limit keeps
+    # the least ones: a prefix of the full enumeration.
+    full = enumerate_models(SearchSpec(n=n, m=m, axioms=axioms))
+    cut = enumerate_models(SearchSpec(n=n, m=m, axioms=axioms, max_models=limit, workers=workers))
+    assert [g.table for g in cut.models] == [g.table for g in full.models][:limit]
+    assert cut.truncated and not full.truncated
 
 
 def test_max_models_prefix_of_full_run():
