@@ -245,6 +245,30 @@ def freeze_search_outputs(out: Path) -> None:
     })
 
 
+# the golden verify corpus: every ag class at n <= 4 on one operator and
+# at n <= 3 on two operators
+VERIFY_SPACES = ((1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (3, 2))
+
+
+def freeze_verify_outputs(out: Path) -> None:
+    """Archive the stdout sha256 and exit code of `gag verify --json -`
+    on every ag class of VERIFY_SPACES, with the class's table."""
+    t0 = time.time()
+    rows = []
+    for n, m in VERIFY_SPACES:
+        for g in enumerate_models(SearchSpec(n=n, m=m, axioms=AXIOM_SETS["ag"])).models:
+            code, digest = _cli_digest(["verify", "--json", "-"], serialize_model(g))
+            rows.append({"order": n, "gammas": m, "table": list(g.table),
+                         "exit": code, "sha256": digest})
+    print(f"  {len(rows)} models ({time.time() - t0:.1f}s)")
+    _write(out, {
+        "comment": "sha256 of stdout and exit code of `gag verify --json -` on every "
+        "ag class with n <= 4 on one operator and n <= 3 on two (each read from "
+        "stdin, default labels)",
+        "models": rows,
+    })
+
+
 def cli_commands(first: str) -> list[list[str]]:
     """The frozen subcommand lines; `first` is the model's first element."""
     generated = [
@@ -312,7 +336,7 @@ def main() -> int:
     ap.add_argument(
         "--only",
         choices=("counts", "suite", "hunts", "guard-open", "large", "cli", "hunt-cli",
-                 "search-cli"),
+                 "search-cli", "verify-cli"),
         help="regenerate a single fixture",
     )
     args = ap.parse_args()
@@ -333,6 +357,8 @@ def main() -> int:
         freeze_hunt_outputs(args.data_dir / "hunt_outputs.json")
     if args.only in (None, "search-cli"):
         freeze_search_outputs(args.data_dir / "search_outputs.json")
+    if args.only in (None, "verify-cli"):
+        freeze_verify_outputs(args.data_dir / "verify_outputs.json")
     return 0
 
 

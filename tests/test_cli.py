@@ -258,6 +258,20 @@ def test_verify_large_matches_frozen_fixture(capsys, monkeypatch, row):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == row["sha256"]
 
 
+def test_verify_matches_frozen_corpus(capsys, monkeypatch):
+    # verify --json on every ag class with n <= 4 (m = 1) and n <= 3
+    # (m = 2), byte for byte; the tables come from the fixture, not the
+    # search.
+    rows = load_data("verify_outputs.json")["models"]
+    assert len(rows) == 474
+    for row in rows:
+        g = GammaGroupoid(row["order"], row["gammas"], tuple(row["table"]))
+        monkeypatch.setattr("sys.stdin", io.StringIO(serialize_model(g)))
+        code, out, _ = run(capsys, "verify", "--json", "-")
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert (code, digest) == (row["exit"], row["sha256"]), row["table"]
+
+
 def test_ideals_above_order_12(capsys, tmp_path):
     # x.y = y - x mod 13: families are listed by closure, so no carrier
     # size is refused; the only two-sided ideal is the carrier.
