@@ -280,28 +280,23 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.find_counterexample is not None:
-        target = "find-counterexample"
-    else:
-        target = "count" if args.count else "enumerate"
     try:
         spec = SearchSpec(
             n=args.order,
             m=args.gammas,
             axioms=AXIOM_SETS[args.axiom],
             filter=args.filter,
-            target=target,
-            theorem=args.find_counterexample,
             max_models=args.limit,
             time_budget=args.time_budget,
             workers=args.workers,
         )
     except ValueError as e:
         raise UsageError(str(e)) from e
-    if target == "find-counterexample":
-        result = find_counterexample(spec)
+    theorem = args.find_counterexample
+    if theorem is not None:
+        result = find_counterexample(spec, theorem)
         if args.json:
-            _emit_json(hunt_to_json_obj(spec, result))
+            _emit_json(hunt_to_json_obj(spec, theorem, result))
         else:
             if result.found:
                 sys.stdout.write(serialize_model(result.model))
@@ -314,7 +309,7 @@ def cmd_search(args) -> int:
 
     result = (count_models if args.count else enumerate_models)(spec)
     if args.json:
-        _emit_json(search_to_json_obj(spec, result))
+        _emit_json(search_to_json_obj(spec, "count" if args.count else "enumerate", result))
     else:
         for g in result.models:
             sys.stdout.write(serialize_model(g))

@@ -1,20 +1,21 @@
 """Exhaustive model enumeration up to isomorphism, plus counterexample hunts.
 
-The enumerator fills table cells in ascending flat order (row-major by
-(element, operator, element)) and tries values in ascending order, so it
-reaches the valid completions of each prefix in lexicographic order.
+The enumerator fills table cells from cell 0 in ascending flat order
+(row-major by (element, operator, element)) and tries values in
+ascending order, so it reaches the valid tables in lexicographic order.
 Each ground instance of a required law is a tuple (i, s, p, j, q) that
 holds iff t[t[i]*s + p] == t[t[j]*s + q] over the flat table t.
 
 Instances are never rescanned.  Each waits on the cell max(i, j) that
-fixes both of its inner cells (or on the first free cell, when both lie
-in the prefix).  Once that cell is assigned the instance names its two
-outer cells a = t[i]*s + p and b = t[j]*s + q.  If a == b it holds; if
-both are assigned it is checked at once; if only the smaller is
-assigned, the larger is forced to its value; otherwise the larger is
-put on the smaller's watch list and is forced when the smaller is
-assigned.  A forced cell tries only its forced value, and two forcings
-that disagree prune the branch at once.
+fixes both of its inner cells.  Once that cell is assigned the instance
+names its two outer cells a = t[i]*s + p and b = t[j]*s + q.  If a == b
+it holds; if both are assigned it is checked at once; if only the
+smaller is assigned, the larger is forced to its value; otherwise the
+larger is put on the smaller's watch list and is forced when the
+smaller is assigned.  A forced cell tries only its forced value, and
+two forcings that disagree prune the branch at once.  A prefix is a set
+of pinned cells: its values are forced before the DFS starts, so the
+DFS yields just the tables that start with it.
 
 Symmetry is broken by lex-leader constraints: the DFS keeps the
 relabelings of elements and operators that are still tied with the
@@ -24,8 +25,9 @@ under isomorphism, so the least table of every class survives, and
 the leaves are exactly the canonical forms, distinct and in ascending
 order.  The filter runs once per class and nothing is deduplicated,
 so `--limit` keeps the least classes and `--time-budget` is honoured
-at the next leaf.  A worker pool reads the same leaf stream in chunks
-of prefixes, merged back in prefix order, so the emitted classes and
+at the next leaf.  One worker runs a single DFS with nothing pinned.  A
+worker pool cuts the first rows into chunks, pins each first row in
+turn, and reads the chunks back in order, so the emitted classes and
 their order are independent of the worker count.
 
 A naive filter-all-tables oracle is kept alongside as ground truth; the
@@ -85,8 +87,6 @@ class SearchSpec:
     m: int
     axioms: frozenset = AXIOM_SETS["ag"]
     filter: str = "any"
-    target: str = "enumerate"
-    theorem: Optional[TheoremId] = None
     max_models: Optional[int] = None
     time_budget: Optional[float] = None
     workers: int = 1
@@ -105,10 +105,6 @@ class SearchSpec:
         if filt not in FILTER_NAMES:
             raise ValueError(f"unknown filter {self.filter!r}")
         object.__setattr__(self, "filter", filt)
-        if self.target not in ("enumerate", "count", "find-counterexample"):
-            raise ValueError(f"unknown target {self.target!r}")
-        if (self.target == "find-counterexample") != (self.theorem is not None):
-            raise ValueError("only the find-counterexample target takes a theorem, and needs one")
         if self.max_models is not None and self.max_models < 1:
             raise ValueError("max_models (--limit) must be at least 1")
         if self.time_budget is not None and self.time_budget <= 0:
@@ -144,8 +140,6 @@ class HuntResult:
 # [inv[t[x]] for x in src].  The identity comes first.  Filled lazily,
 # after the size guard.
 _RELABELINGS: dict[tuple[int, int], tuple[tuple[list[int], list[int]], ...]] = {}
-# below this many surviving relabelings, canonicalize compares whole rows
-_FEW_RELABELINGS = 4
 
 
 def _relabelings(n: int, m: int) -> tuple[tuple[list[int], list[int]], ...]:
@@ -172,25 +166,10 @@ def canonicalize(g: GammaGroupoid) -> tuple[int, ...]:
     """Lexicographically least flat table over all simultaneous
     relabelings of elements and operators.  Two models are isomorphic
     iff their canonical forms are equal.
-
-    The least table is built cell by cell: each cell keeps only the
-    relabelings that give it its least value.  Once at most
-    _FEW_RELABELINGS are left, the least of their whole remaining rows
-    is taken at once.
     """
     _check_canon_size(g.n, g.m)
     t = g.table
-    live = _relabelings(g.n, g.m)
-    out: list[int] = []
-    for pos in range(len(t)):
-        if len(live) <= _FEW_RELABELINGS:
-            out += min([inv[t[x]] for x in src[pos:]] for inv, src in live)
-            break
-        vals = [inv[t[src[pos]]] for inv, src in live]
-        least = min(vals)
-        out.append(least)
-        live = [pair for pair, v in zip(live, vals) if v == least]
-    return tuple(out)
+    return min(tuple(inv[t[x]] for x in src) for inv, src in _relabelings(g.n, g.m))
 
 
 def canonical_model(g: GammaGroupoid) -> GammaGroupoid:
@@ -254,14 +233,12 @@ def compile_instances(n: int, m: int, axioms: Iterable[str]) -> tuple[tuple, ...
     return tuple(out)
 
 
-def _watch_index(instances: Sequence[tuple], start: int, total: int) -> list[list[tuple]]:
+def _watch_index(instances: Sequence[tuple], total: int) -> list[list[tuple]]:
     """ready[c]: the instances whose inner cells i and j are both known
-    once cell c is assigned, i.e. c = max(i, j).  Instances whose inner
-    cells lie in a prefix of length `start` go on cell `start`, which is
-    `total` when the prefix fills the table."""
-    ready: list[list[tuple]] = [[] for _ in range(total + 1)]
+    once cell c is assigned, i.e. c = max(i, j)."""
+    ready: list[list[tuple]] = [[] for _ in range(total)]
     for inst in instances:
-        ready[max(inst[0], inst[3], start)].append(inst)
+        ready[max(inst[0], inst[3])].append(inst)
     return ready
 
 
@@ -298,12 +275,12 @@ def _dfs(
 
     watch[c] lists cells above c that must take c's value once c is
     assigned; forced[c] is the value c must take, or -1.  Both are
-    restored on backtrack, so one pair serves a whole leaf stream.
-    `ties` are the relabelings still tied with t[:cell] (see _lex_ties).
+    restored on backtrack, so one pair serves a whole leaf stream, and
+    cells pinned in `forced` before the call stay pinned.  `ties` are
+    the relabelings still tied with t[:cell] (see _lex_ties).
     """
     if cell == total:
-        if all(t[t[i] * s + p] == t[t[j] * s + q] for i, s, p, j, q in ready[total]):
-            yield tuple(t)
+        yield tuple(t)
         return
     v = forced[cell]
     values: Iterable[int] = range(n) if v < 0 else (v,)
@@ -359,22 +336,22 @@ def _passes_filter(g: GammaGroupoid, filt: str) -> bool:
 
 
 def _leaves(
-    n: int, m: int, axioms: frozenset, filt: str, prefixes: Iterable[tuple[int, ...]]
+    n: int, m: int, axioms: frozenset, filt: str,
+    prefixes: Iterable[tuple[int, ...]] = ((),),
 ) -> Iterator[Optional[tuple[int, ...]]]:
-    """One item per DFS leaf below the prefixes, in order: the leaf, a
-    canonical form, or None when the filter drops it."""
+    """One item per DFS leaf, in order: the leaf, a canonical form, or
+    None when the filter drops it.  Each prefix in turn pins the leading
+    cells of the table, and the DFS from cell 0 yields the leaves that
+    start with it; the default, one empty prefix, pins nothing."""
     total = n * n * m
-    ready = _watch_index(compile_instances(n, m, axioms), n, total)
+    ready = _watch_index(compile_instances(n, m, axioms), total)
     watch: list[list[int]] = [[] for _ in range(total)]
     forced = [-1] * total
     ties = [(inv, src, 0) for inv, src in _relabelings(n, m)[1:]]
+    t = [-1] * total
     for prefix in prefixes:
-        t = [-1] * total
-        t[:n] = prefix
-        tied = _lex_ties(t, n - 1, ties)
-        if tied is None:
-            continue
-        for flat in _dfs(t, n, total, n, ready, watch, forced, tied):
+        forced[:] = list(prefix) + [-1] * (total - len(prefix))
+        for flat in _dfs(t, 0, total, n, ready, watch, forced, ties):
             yield flat if _passes_filter(GammaGroupoid(n, m, flat), filt) else None
 
 
@@ -386,30 +363,31 @@ def _pool_task(args) -> list[Optional[tuple[int, ...]]]:
 def _scan(spec: SearchSpec) -> tuple[list[tuple[int, ...]], bool, float]:
     """Canonical forms in ascending order.
 
-    One worker reads the leaf stream over all prefixes; a pool splits
-    the prefixes into chunks and its tasks are read back in prefix
-    order, so the classes and their order are independent of the
-    worker count.  `max_models` is checked at each class and the time
-    budget at every leaf after the first.  truncated=True means the
-    collected set is (or, on the clock, may be) incomplete: a class
-    turned up past `max_models`, or another leaf arrived after the
-    budget was spent.  Time-budget runs are the documented exception
-    to reproducibility.  Orders and operator counts past the
-    canonicalization guard are refused before any work starts.
+    One worker reads the leaf stream of a single DFS.  A pool cuts the
+    n^n first rows into chunks, each task pins the first rows of its
+    chunk in turn, and the tasks are read back in order, so the classes
+    and their order are independent of the worker count.  `max_models`
+    is checked at each class and the time budget at every leaf after
+    the first.  truncated=True means the collected set is (or, on the
+    clock, may be) incomplete: a class turned up past `max_models`, or
+    another leaf arrived after the budget was spent.  Time-budget runs
+    are the documented exception to reproducibility.  Orders and
+    operator counts past the canonicalization guard are refused before
+    any work starts.
     """
     _check_canon_size(spec.n, spec.m)
     t0 = time.monotonic()
-    prefixes = list(itertools.product(range(spec.n), repeat=spec.n))
     space = (spec.n, spec.m, spec.axioms, spec.filter)
-    pooled = spec.workers > 1 and len(prefixes) > 1
+    pooled = spec.workers > 1 and spec.n > 1
     found: list[tuple[int, ...]] = []
     with Pool(spec.workers) if pooled else nullcontext() as pool:
         if pooled:
+            prefixes = list(itertools.product(range(spec.n), repeat=spec.n))
             size = -(-len(prefixes) // (spec.workers * 4))
             chunks = [(*space, prefixes[i : i + size]) for i in range(0, len(prefixes), size)]
             leaves = itertools.chain.from_iterable(pool.imap(_pool_task, chunks))
         else:
-            leaves = _leaves(*space, prefixes)
+            leaves = _leaves(*space)
         for done, c in enumerate(leaves):
             if done and spec.time_budget is not None and time.monotonic() - t0 > spec.time_budget:
                 return found, True, time.monotonic() - t0
@@ -455,10 +433,9 @@ def find_counterexamples(
     return {tid: hunts.get(tid, missed) for tid in wanted}
 
 
-def find_counterexample(spec: SearchSpec) -> HuntResult:
-    """The least model of the spec's space failing spec.theorem."""
-    assert spec.theorem is not None
-    return find_counterexamples(enumerate_models(spec), (spec.theorem,))[spec.theorem]
+def find_counterexample(spec: SearchSpec, theorem: TheoremId) -> HuntResult:
+    """The least model of the spec's space failing `theorem`."""
+    return find_counterexamples(enumerate_models(spec), (theorem,))[theorem]
 
 
 # --- naive oracles ----------------------------------------------------------
@@ -523,16 +500,20 @@ def naive_enumerate(
 
 # --- serialization ----------------------------------------------------------
 
-def spec_to_json_obj(spec: SearchSpec) -> dict:
+def spec_to_json_obj(
+    spec: SearchSpec, target: str, theorem: Optional[TheoremId] = None
+) -> dict:
+    """The run's parameters; `target` is "enumerate", "count" or
+    "find-counterexample", the last with its `theorem`."""
     out = {
         "order": spec.n,
         "gammas": spec.m,
         "axioms": sorted(spec.axioms),
         "filter": spec.filter,
-        "target": spec.target,
+        "target": target,
     }
-    if spec.theorem is not None:
-        out["theorem"] = spec.theorem.value
+    if theorem is not None:
+        out["theorem"] = theorem.value
     if spec.max_models is not None:
         out["limit"] = spec.max_models
     # worker count deliberately omitted: structured output is required to
@@ -540,22 +521,22 @@ def spec_to_json_obj(spec: SearchSpec) -> dict:
     return out
 
 
-def search_to_json_obj(spec: SearchSpec, result: SearchResult) -> dict:
+def search_to_json_obj(spec: SearchSpec, target: str, result: SearchResult) -> dict:
     # elapsed is deliberately text-mode only: structured output must be
     # byte-identical across runs and worker counts
     out = {
-        "search": spec_to_json_obj(spec),
+        "search": spec_to_json_obj(spec, target),
         "count": result.count,
         "truncated": result.truncated,
     }
-    if spec.target == "enumerate":
+    if target == "enumerate":
         out["models"] = [model_to_json_obj(g) for g in result.models]
     return out
 
 
-def hunt_to_json_obj(spec: SearchSpec, result: HuntResult) -> dict:
+def hunt_to_json_obj(spec: SearchSpec, theorem: TheoremId, result: HuntResult) -> dict:
     out = {
-        "search": spec_to_json_obj(spec),
+        "search": spec_to_json_obj(spec, "find-counterexample", theorem),
         "scanned": result.scanned,
         "truncated": result.truncated,
         "found": result.found,

@@ -176,10 +176,7 @@ def test_criterion_6_hunt_reports_revalidate(capsys):
     finds = 0
     for n, m in ((3, 1), (3, 2), (4, 1)):
         for tid in hunted:
-            spec = SearchSpec(
-                n=n, m=m, axioms=AGSS, target="find-counterexample", theorem=tid
-            )
-            res = find_counterexample(spec)
+            res = find_counterexample(SearchSpec(n=n, m=m, axioms=AGSS), tid)
             if not res.found:
                 continue
             finds += 1

@@ -82,57 +82,38 @@ def _reference_canonicalize(g):
     return best
 
 
-def _prefixed(n, m, prefix):
-    t = [-1] * (n * n * m)
-    t[:n] = prefix
-    return t
+def _reference_forms(n, m, axioms):
+    """The sorted canonical forms of every reference leaf."""
+    total = n * n * m
+    leaves = _reference_dfs([-1] * total, 0, total, n, compile_instances(n, m, axioms))
+    return sorted({_reference_canonicalize(GammaGroupoid(n, m, flat)) for flat in leaves})
 
 
-def _reference_leaves(n, m, axioms, prefix):
-    instances = compile_instances(n, m, axioms)
-    return list(_reference_dfs(_prefixed(n, m, prefix), n, n * n * m, n, instances))
-
-
-def _untied(n, m):
-    # every relabeling but the identity, none yet compared with the table
-    return [(inv, src, 0) for inv, src in search._relabelings(n, m)[1:]]
+def _starting_with(forms, prefix):
+    return [c for c in forms if c[: len(prefix)] == prefix]
 
 
 class _Engine:
-    """The production DFS with one watch index and one set of watch lists
-    shared by every prefix, as in one leaf stream."""
+    """The production DFS with one watch index and one set of watch and
+    forced lists shared by every prefix, as in one pool task."""
 
     def __init__(self, n, m, axioms):
-        self.n, self.m, self.total = n, m, n * n * m
-        self.ready = search._watch_index(compile_instances(n, m, axioms), n, self.total)
+        self.n, self.total = n, n * n * m
+        self.ready = search._watch_index(compile_instances(n, m, axioms), self.total)
         self.watch = [[] for _ in range(self.total)]
         self.forced = [-1] * self.total
-        self.ties = _untied(n, m)
+        # every relabeling but the identity, none yet compared with the table
+        self.ties = [(inv, src, 0) for inv, src in search._relabelings(n, m)[1:]]
 
     def leaves(self, prefix):
-        t = _prefixed(self.n, self.m, prefix)
-        tied = search._lex_ties(t, self.n - 1, self.ties)
-        if tied is None:
-            return []
-        out = list(search._dfs(t, self.n, self.total, self.n, self.ready, self.watch, self.forced, tied))
-        # every watch and forcing is undone on the way back up
+        pinned = list(prefix) + [-1] * (self.total - len(prefix))
+        self.forced[:] = pinned
+        t = [-1] * self.total
+        out = list(search._dfs(t, 0, self.total, self.n, self.ready, self.watch, self.forced, self.ties))
+        # every watch and forcing is undone on the way back up; the pins stay
         assert self.watch == [[] for _ in range(self.total)]
-        assert self.forced == [-1] * self.total
+        assert self.forced == pinned
         return out
-
-
-def _reference_classes(n, m, axioms):
-    """prefix -> the sorted canonical forms, over every reference leaf,
-    whose first n cells are that prefix."""
-    forms = {
-        _reference_canonicalize(GammaGroupoid(n, m, flat))
-        for prefix in itertools.product(range(n), repeat=n)
-        for flat in _reference_leaves(n, m, axioms, prefix)
-    }
-    by_prefix = {prefix: [] for prefix in itertools.product(range(n), repeat=n)}
-    for c in sorted(forms):
-        by_prefix[c[:n]].append(c)
-    return by_prefix
 
 
 @pytest.mark.parametrize(
@@ -142,11 +123,12 @@ def _reference_classes(n, m, axioms):
 )
 def test_dfs_leaf_sequence_matches_reference(n, m, axioms):
     # The leaves are the canonical forms of the reference leaves, each
-    # once, ascending.
+    # once, ascending: with nothing pinned, and below each first row.
     engine = _Engine(n, m, axioms)
-    want = _reference_classes(n, m, axioms)
+    want = _reference_forms(n, m, axioms)
+    assert engine.leaves(()) == want
     for prefix in itertools.product(range(n), repeat=n):
-        assert engine.leaves(prefix) == want[prefix], prefix
+        assert engine.leaves(prefix) == _starting_with(want, prefix), prefix
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -155,28 +137,35 @@ def test_dfs_matches_reference_on_every_prefix(m, axioms):
     # Prefixes in reverse order through one engine: each prefix's leaves
     # must not depend on what ran before it.
     engine = _Engine(3, m, axioms)
-    want = _reference_classes(3, m, axioms)
+    want = _reference_forms(3, m, axioms)
     for prefix in reversed(list(itertools.product(range(3), repeat=3))):
-        assert engine.leaves(prefix) == want[prefix], prefix
+        assert engine.leaves(prefix) == _starting_with(want, prefix), prefix
+
+
+@pytest.mark.parametrize(
+    "n,m,longest", [(2, 1, 4), (1, 3, 3), (3, 1, 5), (2, 2, 4)], ids=["n2", "n1m3", "n3", "n2m2"]
+)
+@pytest.mark.parametrize("axioms", [AG, AGSS], ids=["ag", "agss"])
+def test_dfs_on_prefixes_of_every_length(n, m, longest, axioms):
+    # Prefixes that end inside a row, fill it, run past it or fill the
+    # whole table, longest first and shortest last through one engine.
+    engine = _Engine(n, m, axioms)
+    want = _reference_forms(n, m, axioms)
+    for length in reversed(range(longest + 1)):
+        for prefix in itertools.product(range(n), repeat=length):
+            assert engine.leaves(prefix) == _starting_with(want, prefix), prefix
 
 
 @pytest.mark.parametrize("axioms", [AG, AGSS], ids=["ag", "agss"])
 def test_dfs_on_a_prefix_that_fills_the_table(axioms):
-    # The first free cell is `total`: the instances filed there are checked
-    # on the finished table, without indexing past the watch lists, and
-    # the prefix check alone decides whether the table is canonical.
+    # Every cell is pinned: each instance is checked at its own cell and
+    # the lex-leader ties alone decide whether the table is canonical.
     n, m, total = 2, 1, 4
-    ready = search._watch_index(compile_instances(n, m, axioms), total, total)
-    watch = [[] for _ in range(total)]
-    forced = [-1] * total
+    engine = _Engine(n, m, axioms)
     for flat in itertools.product(range(n), repeat=total):
-        tied = search._lex_ties(list(flat), total - 1, _untied(n, m))
-        got = [] if tied is None else list(
-            search._dfs(list(flat), total, total, n, ready, watch, forced, tied)
-        )
         g = GammaGroupoid(n, m, flat)
         holds = search._passes_axioms(g, axioms) and _reference_canonicalize(g) == flat
-        assert got == ([flat] if holds else [])
+        assert engine.leaves(flat) == ([flat] if holds else [])
 
 
 @settings(max_examples=100, deadline=None)
@@ -186,8 +175,8 @@ def test_canonicalize_matches_reference(g):
 
 
 def test_canonicalize_matches_reference_on_symmetric_tables():
-    # Constant and projection tables keep every relabeling alive to the
-    # last cell.
+    # Constant and projection tables are fixed by many relabelings, so
+    # many of them tie for the least table.
     for n, m in [(1, 1), (1, 3), (3, 3), (5, 2), (6, 1)]:
         total = n * n * m
         for flat in [(0,) * total, tuple(x % n for x in range(total))]:
@@ -249,7 +238,7 @@ def test_canonical_equality_iff_isomorphic(g1, g2):
         assert are_isomorphic(g1, g2) == (canonicalize(g1) == canonicalize(g2))
 
 
-# At n = 1 the prefix fills the first row, and at m = 1 the whole table.
+# Every space small enough for the direct sweep over all tables.
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1)])
 @pytest.mark.parametrize("axioms", [AG, AGSS])
 def test_enumerator_matches_naive_oracle(n, m, axioms):
@@ -387,14 +376,8 @@ def test_max_models_prefix_of_full_run():
     assert not full.truncated
 
 
-def _hunt_spec(n, m, tid, axioms=AGSS):
-    return SearchSpec(
-        n=n, m=m, axioms=axioms, target="find-counterexample", theorem=tid
-    )
-
-
 def test_hunt_finds_frozen_gap():
-    res = find_counterexample(_hunt_spec(3, 1, TheoremId.RINTL))
+    res = find_counterexample(SearchSpec(n=3, m=1, axioms=AGSS), TheoremId.RINTL)
     assert res.found
     assert res.model.table == (0, 0, 0, 0, 0, 2, 0, 1, 0)
     assert res.report.status == "fail"
@@ -403,10 +386,10 @@ def test_hunt_finds_frozen_gap():
 
 def test_hunt_exhausts_without_finding():
     for tid in (TheoremId.KI, TheoremId.AW):
-        res = find_counterexample(_hunt_spec(3, 1, tid))
+        res = find_counterexample(SearchSpec(n=3, m=1, axioms=AGSS), tid)
         assert not res.found and res.model is None and res.report is None
         assert not res.truncated
-    assert not find_counterexample(_hunt_spec(1, 1, TheoremId.RINTL)).found
+    assert not find_counterexample(SearchSpec(n=1, m=1, axioms=AGSS), TheoremId.RINTL).found
 
 
 def test_hunt_matches_frozen_hunt_fixture():
@@ -415,7 +398,7 @@ def test_hunt_matches_frozen_hunt_fixture():
         row = frozen["findings"][tid]
         assert row["found"] is True
         res = find_counterexample(
-            _hunt_spec(row["order"], row["gammas"], TheoremId.from_name(tid))
+            SearchSpec(n=row["order"], m=row["gammas"], axioms=AGSS), TheoremId.from_name(tid)
         )
         assert list(res.model.table) == row["table"]
         assert res.report.counterexample.condition == row["condition"]
@@ -428,7 +411,7 @@ def test_hunt_class_tallies_match_fixture():
     for row in frozen["spaces"]:
         if row["order"] > 3:
             continue
-        spec = SearchSpec(n=row["order"], m=row["gammas"], axioms=AGSS, target="count")
+        spec = SearchSpec(n=row["order"], m=row["gammas"], axioms=AGSS)
         assert count_models(spec).count == row["classes"], row
 
 
@@ -440,7 +423,7 @@ def test_one_walk_hunts_like_separate_hunts(n, m):
     together = find_counterexamples(space, TheoremId)
     assert list(together) == list(TheoremId)
     for tid, got in together.items():
-        alone = find_counterexample(_hunt_spec(n, m, tid))
+        alone = find_counterexample(SearchSpec(n=n, m=m, axioms=AGSS), tid)
         assert (got.model, got.report, got.scanned) == (alone.model, alone.report, alone.scanned)
     assert any(h.found for h in together.values())
 
@@ -465,14 +448,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SearchSpec(n=2, m=1, filter="bogus")
     with pytest.raises(ValueError):
-        SearchSpec(n=2, m=1, target="find-counterexample")
-    with pytest.raises(ValueError):
-        SearchSpec(n=2, m=1, theorem=TheoremId.KI)
-    with pytest.raises(ValueError):
-        SearchSpec(n=2, m=1, target="count", theorem=TheoremId.KI)
-    with pytest.raises(ValueError):
-        SearchSpec(n=2, m=1, target="bogus")
-    with pytest.raises(ValueError):
         SearchSpec(n=2, m=1, max_models=0)
     with pytest.raises(ValueError):
         SearchSpec(n=2, m=1, time_budget=0.0)
@@ -488,7 +463,7 @@ def test_scan_refuses_oversized_carrier():
 def test_filter_alias_normalized():
     spec = SearchSpec(n=2, m=1, filter="not-intra-regular")
     assert spec.filter == "non-intra-regular"
-    obj = spec_to_json_obj(spec)
+    obj = spec_to_json_obj(spec, "enumerate")
     assert obj["filter"] == "non-intra-regular"
     assert "workers" not in obj
 
