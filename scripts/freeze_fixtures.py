@@ -45,12 +45,7 @@ GRID = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)]
 LARGE_ORDERS = tuple(range(9, 17))
 
 
-def _write(out: Path, doc: dict) -> None:
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {out}")
-
-
-def freeze_enum_counts(out: Path) -> None:
+def enum_counts() -> dict:
     rows = []
     for n, m in GRID:
         for ax_name, axioms in AXIOM_SETS.items():
@@ -70,19 +65,19 @@ def freeze_enum_counts(out: Path) -> None:
                     f"  oracle n={n} m={m} {ax_name:4s} {filt:17s} -> {len(forms):4d}"
                     f"  ({time.time() - t0:.1f}s)"
                 )
-    _write(out, {
+    return {
         "comment": "class counts up to isomorphism, produced by the naive "
         "filter-all-tables oracle (factored per-table prefilter for m>1)",
         "counts": rows,
-    })
+    }
 
 
-def freeze_m5_suite(out: Path) -> None:
+def m5_suite() -> dict:
     g = paper_example()
-    _write(out, suite_to_json_obj(g, run_suite(g)))
+    return suite_to_json_obj(g, run_suite(g))
 
 
-def freeze_gap_hunts(out: Path) -> None:
+def gap_hunts() -> dict:
     """Scan every enumerated model space we can afford and archive, per
     hunted check, the first failing model (or the fact that none exists
     in the scanned space)."""
@@ -106,12 +101,12 @@ def freeze_gap_hunts(out: Path) -> None:
                     "condition": hunt.report.counterexample.condition,
                 }
         print(f"  hunted n={n} m={m}: {space.count} classes ({time.time() - t0:.1f}s)")
-    _write(out, {
+    return {
         "comment": "first gap witness per converse-capable check over the "
         "scanned spaces; found=false means the scanned spaces hold none",
         "spaces": scanned,
         "findings": findings,
-    })
+    }
 
 
 @contextlib.contextmanager
@@ -132,10 +127,9 @@ def guards_open():
         theorems._ctx.cache_clear()
 
 
-def freeze_guard_open_suite(out: Path) -> None:
+def guard_open_suite() -> dict:
     """Archive the guard-open suite on the lexicographically first
     order <= 3, m = 1 tables that reach each fail condition."""
-    t0 = time.time()
     reached: set[str] = set()
     models = []
     with guards_open():
@@ -150,15 +144,15 @@ def freeze_guard_open_suite(out: Path) -> None:
                          "suite": suite_to_json_obj(g, reports)}
                     )
     unreached = sorted(set(theorems._CONDITIONS) - reached)
-    print(f"  {len(reached)} conditions from {len(models)} models ({time.time() - t0:.1f}s)")
-    _write(out, {
+    print(f"  {len(reached)} conditions from {len(models)} models")
+    return {
         "comment": "suite output with every guard forced open (_guard returns None, "
         "axiom_profile reports left-invertive and ag-star-star) on the "
         "lexicographically first order <= 3, m = 1 tables that together reach "
         f"{len(reached)} fail conditions; no order <= 3 table reaches: "
         + ", ".join(unreached),
         "models": models,
-    })
+    }
 
 
 def difference_model(n: int) -> GammaGroupoid:
@@ -166,7 +160,7 @@ def difference_model(n: int) -> GammaGroupoid:
     return GammaGroupoid(n, 1, tuple((y - x) % n for x in range(n) for y in range(n)))
 
 
-def _cli_digest(argv: list[str], stdin_text: str = "") -> tuple[int, str]:
+def cli_digest(argv: list[str], stdin_text: str = "") -> tuple[int, str]:
     """Exit code and stdout sha256 of one in-process `gag` run, with any
     clock reading `elapsed=...s` (search's text-mode # line) masked."""
     stdout = io.StringIO()
@@ -180,20 +174,27 @@ def _cli_digest(argv: list[str], stdin_text: str = "") -> tuple[int, str]:
     return code, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def freeze_large_suite(out: Path) -> None:
-    """Archive the sha256 and exit code of `gag verify --json` on the
-    difference model at each of LARGE_ORDERS."""
+def _digest_rows(cases) -> list[dict]:
+    """One row `{**fields, "exit", "sha256"}` per `(fields, argv, stdin)`
+    case: the exit code and stdout digest of `gag <argv>` fed `stdin`."""
     rows = []
-    for n in LARGE_ORDERS:
-        t0 = time.time()
-        code, digest = _cli_digest(["verify", "--json", "-"], serialize_model(difference_model(n)))
-        rows.append({"order": n, "exit": code, "sha256": digest})
-        print(f"  verify n={n}: exit {code} ({time.time() - t0:.1f}s)")
-    _write(out, {
+    for fields, argv, stdin_text in cases:
+        code, digest = cli_digest(argv, stdin_text)
+        rows.append({**fields, "exit": code, "sha256": digest})
+    return rows
+
+
+VERIFY_JSON = ["verify", "--json", "-"]
+
+
+def large_suite() -> dict:
+    """`gag verify --json` on the difference model at each of LARGE_ORDERS."""
+    return {
         "comment": "sha256 of the stdout of `gag verify --json -` and its exit code "
         "on x.y = y - x mod n (one operator, default labels)",
-        "models": rows,
-    })
+        "models": _digest_rows(({"order": n}, VERIFY_JSON, serialize_model(difference_model(n)))
+                               for n in LARGE_ORDERS),
+    }
 
 
 # hunts frozen through the CLI: every check on the order-3 agss classes,
@@ -201,24 +202,16 @@ def freeze_large_suite(out: Path) -> None:
 HUNT_SPACES = ((3, 1, tuple(t.value for t in TheoremId)), (3, 2, HUNTED))
 
 
-def freeze_hunt_outputs(out: Path) -> None:
-    """Archive the stdout sha256 and exit code of `gag search
-    --find-counterexample`, text and --json, over HUNT_SPACES."""
-    t0 = time.time()
-    rows = []
-    for n, m, ids in HUNT_SPACES:
-        for tid in ids:
-            for json_flag in ([], ["--json"]):
-                argv = ["search", "--order", str(n), "--gammas", str(m), "--axiom", "agss",
-                        "--find-counterexample", tid, *json_flag]
-                code, digest = _cli_digest(argv)
-                rows.append({"argv": argv, "exit": code, "sha256": digest})
-    print(f"  {len(rows)} hunts ({time.time() - t0:.1f}s)")
-    _write(out, {
+def hunt_outputs() -> dict:
+    """`gag search --find-counterexample`, text and --json, over HUNT_SPACES."""
+    argvs = [["search", "--order", str(n), "--gammas", str(m), "--axiom", "agss",
+              "--find-counterexample", tid, *json_flag]
+             for n, m, ids in HUNT_SPACES for tid in ids for json_flag in ([], ["--json"])]
+    return {
         "comment": "sha256 of stdout and exit code of `gag <argv>`, with the "
         "elapsed=...s reading on the text-mode # line replaced by elapsed=-",
-        "hunts": rows,
-    })
+        "hunts": _digest_rows(({"argv": argv}, argv, "") for argv in argvs),
+    }
 
 
 # searches frozen through the CLI where no oracle reaches: the order-5
@@ -229,20 +222,13 @@ SEARCH_ARGVS = (
 )
 
 
-def freeze_search_outputs(out: Path) -> None:
-    """Archive the stdout sha256 and exit code of `gag search --json`
-    over the spaces in SEARCH_ARGVS."""
-    rows = []
-    for argv in SEARCH_ARGVS:
-        t0 = time.time()
-        code, digest = _cli_digest(argv)
-        rows.append({"argv": argv, "exit": code, "sha256": digest})
-        print(f"  {' '.join(argv)}: exit {code} ({time.time() - t0:.1f}s)")
-    _write(out, {
+def search_outputs() -> dict:
+    """`gag search --json` over the spaces in SEARCH_ARGVS."""
+    return {
         "comment": "sha256 of stdout and exit code of `gag <argv>` on spaces "
         "beyond the naive oracle; regression-only",
-        "searches": rows,
-    })
+        "searches": _digest_rows(({"argv": argv}, argv, "") for argv in SEARCH_ARGVS),
+    }
 
 
 # the golden verify corpus: every ag class at n <= 4 on one operator and
@@ -250,23 +236,19 @@ def freeze_search_outputs(out: Path) -> None:
 VERIFY_SPACES = ((1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (3, 2))
 
 
-def freeze_verify_outputs(out: Path) -> None:
-    """Archive the stdout sha256 and exit code of `gag verify --json -`
-    on every ag class of VERIFY_SPACES, with the class's table."""
-    t0 = time.time()
-    rows = []
-    for n, m in VERIFY_SPACES:
-        for g in enumerate_models(SearchSpec(n=n, m=m, axioms=AXIOM_SETS["ag"])).models:
-            code, digest = _cli_digest(["verify", "--json", "-"], serialize_model(g))
-            rows.append({"order": n, "gammas": m, "table": list(g.table),
-                         "exit": code, "sha256": digest})
-    print(f"  {len(rows)} models ({time.time() - t0:.1f}s)")
-    _write(out, {
+def verify_outputs() -> dict:
+    """`gag verify --json -` on every ag class of VERIFY_SPACES, with the
+    class's table."""
+    return {
         "comment": "sha256 of stdout and exit code of `gag verify --json -` on every "
         "ag class with n <= 4 on one operator and n <= 3 on two (each read from "
         "stdin, default labels)",
-        "models": rows,
-    })
+        "models": _digest_rows(
+            ({"order": n, "gammas": m, "table": list(g.table)}, VERIFY_JSON, serialize_model(g))
+            for n, m in VERIFY_SPACES
+            for g in enumerate_models(SearchSpec(n=n, m=m, axioms=AXIOM_SETS["ag"])).models
+        ),
+    }
 
 
 def cli_commands(first: str) -> list[list[str]]:
@@ -297,33 +279,50 @@ def cli_models() -> list[dict]:
     return rows
 
 
-def cli_digests(row: dict) -> list[dict]:
-    """Run every frozen command on one fixture model."""
+def cli_cases(row: dict) -> list[tuple]:
+    """Every frozen command on one fixture model, as digest cases."""
     if "model" in row:
         ref, text, first = row["model"], "", paper_example().element_labels[0]
     else:
         g = GammaGroupoid(row["order"], row["gammas"], tuple(row["table"]))
         ref, text, first = "-", serialize_model(g), g.element_labels[0]
-    out = []
-    for cmd in cli_commands(first):
-        code, digest = _cli_digest(cmd + [ref], text)
-        out.append({"argv": cmd, "exit": code, "sha256": digest})
-    return out
+    return [({"argv": cmd}, cmd + [ref], text) for cmd in cli_commands(first)]
 
 
-def freeze_cli_outputs(out: Path) -> None:
-    """Archive the stdout sha256 and exit code of the model-level
-    subcommands on every class of three small spaces and the example."""
-    t0 = time.time()
-    rows = [dict(row, outputs=cli_digests(row)) for row in cli_models()]
-    print(f"  {len(rows)} models ({time.time() - t0:.1f}s)")
-    _write(out, {
+def cli_outputs() -> dict:
+    """The model-level subcommands on every class of three small spaces
+    and the example."""
+    return {
         "comment": "sha256 of stdout and exit code of `gag <argv> <model>` on the "
         "order-2 classes with no axioms, the order-3 ag classes, the order-2 "
         "two-operator ag classes (each read from stdin, default labels) "
         "and @paper-example",
-        "models": rows,
-    })
+        "models": [dict(row, outputs=_digest_rows(cli_cases(row))) for row in cli_models()],
+    }
+
+
+# each --only name: the fixture file under the data directory and its builder
+FIXTURES = {
+    "counts": ("enum_counts.json", enum_counts),
+    "suite": ("m5_suite.json", m5_suite),
+    "hunts": ("gap_hunts.json", gap_hunts),
+    "guard-open": ("guard_open_suite.json", guard_open_suite),
+    "large": ("large_suite.json", large_suite),
+    "cli": ("cli_outputs.json", cli_outputs),
+    "hunt-cli": ("hunt_outputs.json", hunt_outputs),
+    "search-cli": ("search_outputs.json", search_outputs),
+    "verify-cli": ("verify_outputs.json", verify_outputs),
+}
+
+
+def freeze(name: str, data_dir: Path) -> Path:
+    """Build fixture `name` and write it under data_dir."""
+    file, build = FIXTURES[name]
+    t0 = time.time()
+    out = data_dir / file
+    out.write_text(json.dumps(build(), indent=2) + "\n")
+    print(f"wrote {out} ({time.time() - t0:.1f}s)")
+    return out
 
 
 def main() -> int:
@@ -333,32 +332,11 @@ def main() -> int:
         type=Path,
         default=Path(__file__).resolve().parent.parent / "tests" / "data",
     )
-    ap.add_argument(
-        "--only",
-        choices=("counts", "suite", "hunts", "guard-open", "large", "cli", "hunt-cli",
-                 "search-cli", "verify-cli"),
-        help="regenerate a single fixture",
-    )
+    ap.add_argument("--only", choices=FIXTURES, help="regenerate a single fixture")
     args = ap.parse_args()
     args.data_dir.mkdir(parents=True, exist_ok=True)
-    if args.only in (None, "counts"):
-        freeze_enum_counts(args.data_dir / "enum_counts.json")
-    if args.only in (None, "suite"):
-        freeze_m5_suite(args.data_dir / "m5_suite.json")
-    if args.only in (None, "hunts"):
-        freeze_gap_hunts(args.data_dir / "gap_hunts.json")
-    if args.only in (None, "guard-open"):
-        freeze_guard_open_suite(args.data_dir / "guard_open_suite.json")
-    if args.only in (None, "large"):
-        freeze_large_suite(args.data_dir / "large_suite.json")
-    if args.only in (None, "cli"):
-        freeze_cli_outputs(args.data_dir / "cli_outputs.json")
-    if args.only in (None, "hunt-cli"):
-        freeze_hunt_outputs(args.data_dir / "hunt_outputs.json")
-    if args.only in (None, "search-cli"):
-        freeze_search_outputs(args.data_dir / "search_outputs.json")
-    if args.only in (None, "verify-cli"):
-        freeze_verify_outputs(args.data_dir / "verify_outputs.json")
+    for name in [args.only] if args.only else FIXTURES:
+        freeze(name, args.data_dir)
     return 0
 
 

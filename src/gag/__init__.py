@@ -15,6 +15,7 @@ from .fixtures import paper_example, paper_example_text
 from .ideals import (
     IdealKind,
     NotAnIdealError,
+    generated_ideal,
     ideal_family,
     is_bi_ideal,
     is_elementwise_semiprime,
@@ -73,9 +74,6 @@ from .subsets import (
     EmptySubsetError,
     Subset,
     all_nonempty_subsets,
-    generated_left_ideal,
-    generated_right_ideal,
-    generated_two_sided_ideal,
     square,
     subset_product,
 )

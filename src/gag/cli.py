@@ -25,7 +25,7 @@ from .fileformat import (
     serialize_model,
 )
 from .fixtures import PAPER_EXAMPLE_TOKEN, paper_example_text
-from .ideals import IdealKind, ideal_family
+from .ideals import IdealKind, generated_ideal, ideal_family
 from .model import (
     AxiomProfile,
     GammaGroupoid,
@@ -48,13 +48,7 @@ from .search import (
     hunt_to_json_obj,
     search_to_json_obj,
 )
-from .subsets import (
-    EmptySubsetError,
-    Subset,
-    generated_left_ideal,
-    generated_right_ideal,
-    generated_two_sided_ideal,
-)
+from .subsets import EmptySubsetError, Subset
 from .theorems import (
     SKIPPED,
     TheoremId,
@@ -186,11 +180,7 @@ def cmd_ideals(args) -> int:
         if args.dot:
             raise UsageError("--dot lists a family, not a --generated-from ideal")
         seed = _parse_seed(g, args.generated_from)
-        gen = {
-            "left": generated_left_ideal,
-            "right": generated_right_ideal,
-            "two-sided": generated_two_sided_ideal,
-        }[args.kind](g, seed)
+        gen = generated_ideal(g, IdealKind(args.kind), seed)
         if args.json:
             _emit_json(
                 {

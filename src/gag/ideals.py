@@ -38,6 +38,7 @@ from .subsets import (
     closed_subsets,
     subset_product,
     _check_model_subset,
+    _closure,
 )
 
 
@@ -152,6 +153,15 @@ def ideal_family(g: GammaGroupoid, kind: IdealKind) -> tuple[Subset, ...]:
     """All non-empty subsets of the given kind, canonical order, listed
     by closure; the predicates above are the independent check."""
     return closed_subsets(g, _CLOSURE_MAPS[kind])
+
+
+def generated_ideal(g: GammaGroupoid, kind: IdealKind, seed: Subset) -> Subset:
+    """Least subset of the given kind containing a non-empty seed: the
+    fixpoint of A -> A | F(A) from the seed, F the kind's closure map."""
+    _check_model_subset(g, seed)
+    if not seed:
+        raise EmptySubsetError("generator set must be non-empty")
+    return Subset(g.n, _closure(g, _CLOSURE_MAPS[kind])(seed.mask))
 
 
 def two_sided_ideals(g: GammaGroupoid) -> tuple[Subset, ...]:

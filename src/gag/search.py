@@ -107,7 +107,7 @@ class SearchSpec:
         object.__setattr__(self, "filter", filt)
         if self.max_models is not None and self.max_models < 1:
             raise ValueError("max_models (--limit) must be at least 1")
-        if self.time_budget is not None and self.time_budget <= 0:
+        if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError("time_budget (--time-budget) must be positive")
         if self.workers < 1:
             raise ValueError("workers (--workers) must be at least 1")

@@ -199,28 +199,6 @@ def closed_subsets(g: GammaGroupoid, f: MaskMap) -> tuple[Subset, ...]:
     return tuple(sorted(filter(None, found), key=Subset.members))
 
 
-def _generated(g: GammaGroupoid, x: Subset, f: MaskMap) -> Subset:
-    _check_model_subset(g, x)
-    if not x:
-        raise EmptySubsetError("generator set must be non-empty")
-    return Subset(g.n, _closure(g, f)(x.mask))
-
-
-def generated_left_ideal(g: GammaGroupoid, x: Subset) -> Subset:
-    """Least A containing x with S*A a subset of A."""
-    return _generated(g, x, lambda p, s, a: p(s, a))
-
-
-def generated_right_ideal(g: GammaGroupoid, x: Subset) -> Subset:
-    """Least A containing x with A*S a subset of A."""
-    return _generated(g, x, lambda p, s, a: p(a, s))
-
-
-def generated_two_sided_ideal(g: GammaGroupoid, x: Subset) -> Subset:
-    """Least A containing x closed under products with S on both sides."""
-    return _generated(g, x, lambda p, s, a: p(s, a) | p(a, s))
-
-
 def all_nonempty_subsets(g: GammaGroupoid) -> list[Subset]:
     """All non-empty subsets in canonical ascending order (by sorted
     member tuple), as a fresh list: the plain powerset, 2**n - 1 long."""

@@ -38,7 +38,7 @@ from .fileformat import serialize_model
 from .ideals import IdealKind, ideal_family
 from .model import GammaGroupoid, axiom_profile
 from .regularity import is_intra_regular
-from .subsets import Subset, closed_subsets, generated_two_sided_ideal, subset_product
+from .subsets import Subset, closed_subsets, subset_product
 
 PASS = "pass"
 FAIL = "fail"
@@ -510,7 +510,7 @@ def _prime_irr(c: _Ctx, p: Subset):
 def _is_minimal_ideal(g: GammaGroupoid, q: Subset) -> bool:
     # a smaller ideal would hold the ideal one of Q's members generates
     return ideals.is_two_sided_ideal(g, q) and all(
-        generated_two_sided_ideal(g, Subset.singleton(g.n, x)) == q for x in q
+        ideals.generated_ideal(g, IdealKind.TWO_SIDED, Subset.singleton(g.n, x)) == q for x in q
     )
 
 

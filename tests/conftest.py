@@ -1,5 +1,6 @@
 """Shared fixtures and hypothesis strategies for the test suite."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from gag import GammaGroupoid
 from gag.fixtures import paper_example
 
 DATA_DIR = Path(__file__).parent / "data"
+SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def load_data(name: str):
@@ -21,6 +23,20 @@ def load_data(name: str):
 def m5() -> GammaGroupoid:
     # Order-5 single-operator model used as the worked fixture throughout.
     return paper_example()
+
+
+@pytest.fixture(scope="session")
+def freezer():
+    """scripts/freeze_fixtures.py as a module: its builders, `guards_open`,
+    `difference_model` and `cli_digest`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(SCRIPTS_DIR))
+        spec = importlib.util.spec_from_file_location(
+            "freeze_fixtures", SCRIPTS_DIR / "freeze_fixtures.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
 
 
 @st.composite

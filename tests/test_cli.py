@@ -1,9 +1,7 @@
 """Command line driver: exit codes, output formats, determinism."""
 
-import hashlib
 import io
 import json
-import re
 import time
 
 import pytest
@@ -247,18 +245,19 @@ def test_search_hunt_clean_exits_0(capsys):
     assert "found=false" in out
 
 
+# The golden replays below run `gag` through the freezer's own
+# `cli_digest`: main fed the given stdin, elapsed=...s masked, and
+# (exit, stdout sha256) returned.
+
+
 @pytest.mark.parametrize("row", load_data("large_suite.json")["models"], ids=lambda r: f"n{r['order']}")
-def test_verify_large_matches_frozen_fixture(capsys, monkeypatch, row):
+def test_verify_large_matches_frozen_fixture(freezer, row):
     # x.y = y - x mod n at orders 9..16.
-    n = row["order"]
-    g = GammaGroupoid(n, 1, tuple((y - x) % n for x in range(n) for y in range(n)))
-    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_model(g)))
-    code, out, _ = run(capsys, "verify", "--json", "-")
-    assert code == row["exit"]
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == row["sha256"]
+    text = serialize_model(freezer.difference_model(row["order"]))
+    assert freezer.cli_digest(["verify", "--json", "-"], text) == (row["exit"], row["sha256"])
 
 
-def test_verify_matches_frozen_corpus(capsys, monkeypatch):
+def test_verify_matches_frozen_corpus(freezer):
     # verify --json on every ag class with n <= 4 (m = 1) and n <= 3
     # (m = 2), byte for byte; the tables come from the fixture, not the
     # search.
@@ -266,18 +265,15 @@ def test_verify_matches_frozen_corpus(capsys, monkeypatch):
     assert len(rows) == 474
     for row in rows:
         g = GammaGroupoid(row["order"], row["gammas"], tuple(row["table"]))
-        monkeypatch.setattr("sys.stdin", io.StringIO(serialize_model(g)))
-        code, out, _ = run(capsys, "verify", "--json", "-")
-        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-        assert (code, digest) == (row["exit"], row["sha256"]), row["table"]
+        got = freezer.cli_digest(["verify", "--json", "-"], serialize_model(g))
+        assert got == (row["exit"], row["sha256"]), row["table"]
 
 
-def test_ideals_above_order_12(capsys, tmp_path):
+def test_ideals_above_order_12(capsys, tmp_path, freezer):
     # x.y = y - x mod 13: families are listed by closure, so no carrier
     # size is refused; the only two-sided ideal is the carrier.
     path = tmp_path / "n13.gag"
-    path.write_text(serialize_model(
-        GammaGroupoid(13, 1, tuple((y - x) % 13 for x in range(13) for y in range(13)))))
+    path.write_text(serialize_model(freezer.difference_model(13)))
     code, out, err = run(capsys, "ideals", str(path), "--kind", "two-sided")
     assert code == 0, err
     assert out.splitlines()[0] == "two-sided (1):"
@@ -290,7 +286,7 @@ def _cli_fixture_id(row):
 
 
 @pytest.mark.parametrize("row", load_data("cli_outputs.json")["models"], ids=_cli_fixture_id)
-def test_cli_matches_frozen_fixture(capsys, monkeypatch, row):
+def test_cli_matches_frozen_fixture(freezer, row):
     # check, intra, ideals and canon on small classes and the example,
     # byte for byte; tables are read from stdin with default labels.
     if "model" in row:
@@ -299,10 +295,8 @@ def test_cli_matches_frozen_fixture(capsys, monkeypatch, row):
         g = GammaGroupoid(row["order"], row["gammas"], tuple(row["table"]))
         ref, text = "-", serialize_model(g)
     for want in row["outputs"]:
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        code, out, _ = run(capsys, *want["argv"], ref)
-        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-        assert (code, digest) == (want["exit"], want["sha256"]), want["argv"]
+        got = freezer.cli_digest(want["argv"] + [ref], text)
+        assert got == (want["exit"], want["sha256"]), want["argv"]
 
 
 def _hunt_fixture_id(row):
@@ -311,22 +305,17 @@ def _hunt_fixture_id(row):
 
 
 @pytest.mark.parametrize("row", load_data("hunt_outputs.json")["hunts"], ids=_hunt_fixture_id)
-def test_hunt_matches_frozen_fixture(capsys, row):
+def test_hunt_matches_frozen_fixture(freezer, row):
     # search --find-counterexample byte for byte, the clock reading masked
-    code, out, _ = run(capsys, *row["argv"])
-    out = re.sub(r"elapsed=[0-9.]+s", "elapsed=-", out)
-    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-    assert (code, digest) == (row["exit"], row["sha256"])
+    assert freezer.cli_digest(row["argv"]) == (row["exit"], row["sha256"])
 
 
 @pytest.mark.parametrize(
     "row", load_data("search_outputs.json")["searches"], ids=lambda r: "-".join(r["argv"][1:-1])
 )
-def test_search_matches_frozen_fixture(capsys, row):
+def test_search_matches_frozen_fixture(freezer, row):
     # search --json on spaces no oracle reaches, byte for byte
-    code, out, _ = run(capsys, *row["argv"])
-    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-    assert (code, digest) == (row["exit"], row["sha256"])
+    assert freezer.cli_digest(row["argv"]) == (row["exit"], row["sha256"])
 
 
 def test_canon(capsys, tmp_path):
@@ -417,8 +406,9 @@ class TestUsageErrors:
             ("--order 0", "n (--order) must be at least 1"),
             ("--order 2 --gammas 0", "m (--gammas) must be at least 1"),
             ("--order 2 --time-budget -1", "time_budget (--time-budget) must be positive"),
+            ("--order 2 --time-budget nan", "time_budget (--time-budget) must be positive"),
         ],
-        ids=["limit", "workers", "order", "gammas", "time-budget"],
+        ids=["limit", "workers", "order", "gammas", "time-budget", "time-budget-nan"],
     )
     def test_search_out_of_range_value(self, capsys, flags, message):
         code, out, err = run(capsys, "search", *flags.split())

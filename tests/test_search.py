@@ -1,9 +1,7 @@
 """Model enumeration up to isomorphism, canonical forms, hunts."""
 
-import importlib.util
 import itertools
 import random
-from pathlib import Path
 
 import pytest
 from conftest import DATA_DIR, load_data, models
@@ -428,14 +426,9 @@ def test_one_walk_hunts_like_separate_hunts(n, m):
     assert any(h.found for h in together.values())
 
 
-def test_gap_hunt_fixture_refreezes_byte_identical(tmp_path, monkeypatch):
-    scripts = Path(__file__).resolve().parent.parent / "scripts"
-    monkeypatch.syspath_prepend(str(scripts))
-    spec = importlib.util.spec_from_file_location("freeze_under_test", scripts / "freeze_fixtures.py")
-    freezer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(freezer)
-    freezer.freeze_gap_hunts(tmp_path / "g.json")
-    assert (tmp_path / "g.json").read_bytes() == (DATA_DIR / "gap_hunts.json").read_bytes()
+def test_gap_hunt_fixture_refreezes_byte_identical(tmp_path, freezer):
+    out = freezer.freeze("hunts", tmp_path)
+    assert out.read_bytes() == (DATA_DIR / "gap_hunts.json").read_bytes()
 
 
 def test_spec_validation():

@@ -10,18 +10,18 @@ from hypothesis import strategies as st
 
 from gag import (
     CarrierMismatchError,
+    EmptySubsetError,
     GammaGroupoid,
+    IdealKind,
     Subset,
     all_nonempty_subsets,
-    generated_left_ideal,
-    generated_right_ideal,
-    generated_two_sided_ideal,
+    generated_ideal,
+    kind_predicate,
     model_to_json_obj,
     serialize_model,
     square,
     subset_product,
 )
-from gag.ideals import is_left_ideal, is_right_ideal, is_two_sided_ideal
 
 
 def _members(n, *xs):
@@ -141,11 +141,14 @@ def test_product_rejects_foreign_subset(m5):
 
 def test_m5_generated_ideals(m5):
     a, b = Subset.singleton(5, 0), Subset.singleton(5, 1)
-    assert generated_left_ideal(m5, a) == a
-    assert generated_right_ideal(m5, a) == a
-    assert generated_two_sided_ideal(m5, a) == a
-    assert generated_left_ideal(m5, b) == Subset.full(5)
-    assert generated_two_sided_ideal(m5, b) == Subset.full(5)
+    for kind in (IdealKind.LEFT, IdealKind.RIGHT, IdealKind.TWO_SIDED):
+        assert generated_ideal(m5, kind, a) == a
+    assert generated_ideal(m5, IdealKind.LEFT, b) == Subset.full(5)
+    assert generated_ideal(m5, IdealKind.TWO_SIDED, b) == Subset.full(5)
+    with pytest.raises(EmptySubsetError):
+        generated_ideal(m5, IdealKind.LEFT, Subset.empty(5))
+    with pytest.raises(CarrierMismatchError):
+        generated_ideal(m5, IdealKind.LEFT, Subset.full(4))
 
 
 def _minimal_closed_superset(g, seed, pred):
@@ -164,12 +167,9 @@ def _minimal_closed_superset(g, seed, pred):
 @given(models(max_n=4, max_m=2), st.data())
 def test_generated_ideals_are_minimal(g, data):
     seed = Subset(g.n, data.draw(st.integers(1, (1 << g.n) - 1)))
-    for gen, pred in [
-        (generated_left_ideal, is_left_ideal),
-        (generated_right_ideal, is_right_ideal),
-        (generated_two_sided_ideal, is_two_sided_ideal),
-    ]:
-        got = gen(g, seed)
+    for kind in IdealKind:
+        pred = kind_predicate(kind)
+        got = generated_ideal(g, kind, seed)
         assert seed <= got
         assert pred(g, got)
         assert got == _minimal_closed_superset(g, seed, pred)

@@ -1,6 +1,5 @@
 """Theorem suite: statuses, guards, counterexample revalidation."""
 
-import dataclasses
 import hashlib
 import json
 
@@ -205,17 +204,10 @@ def test_instances_counted(m5):
 
 
 @pytest.fixture
-def guards_open(monkeypatch):
-    """Every guard forced open, as in scripts/freeze_fixtures.py."""
-    real_profile = theorems.axiom_profile
-    monkeypatch.setattr(theorems, "_guard", lambda ctx, need_intra: None)
-    monkeypatch.setattr(
-        theorems, "axiom_profile",
-        lambda g: dataclasses.replace(real_profile(g), left_invertive=True, ag_star_star=True),
-    )
-    theorems._ctx.cache_clear()
-    yield
-    theorems._ctx.cache_clear()
+def guards_open(freezer):
+    """Every guard forced open, by the freezer's own context manager."""
+    with freezer.guards_open():
+        yield
 
 
 def test_guard_open_suite_matches_frozen_fixture(guards_open):
