@@ -18,17 +18,23 @@ of pinned cells: its values are forced before the DFS starts, so the
 DFS yields just the tables that start with it.
 
 Symmetry is broken by lex-leader constraints: the DFS keeps the
-relabelings of elements and operators that are still tied with the
-partial table, and cuts a branch as soon as one of them is smaller on
-cells that are all assigned.  The laws and the filter are invariant
-under isomorphism, so the least table of every class survives, and
-the leaves are exactly the canonical forms, distinct and in ascending
-order.  The filter runs once per class and nothing is deduplicated,
-so `--limit` keeps the least classes and `--time-budget` is honoured
-at the next leaf.  One worker runs a single DFS with nothing pinned.  A
-worker pool cuts the first rows into chunks, pins each first row in
-turn, and reads the chunks back in order, so the emitted classes and
-their order are independent of the worker count.
+relabelings of elements and operators still tied with the partial
+table, and cuts a branch as soon as one of them is smaller on cells
+that are all assigned.  Ties are watched like instances: a tie that
+matches t before position k waits on cell max(k, src[k]), and once that
+cell is assigned it walks on while both sides are known.  A smaller
+relabeled value cuts the branch, a larger one or a full match (an
+automorphism) drops the tie, and a tie that blocks waits on its next
+cell; ties waiting on other cells cost nothing.  The laws and the
+filter are invariant under isomorphism, so the least table of every
+class survives, and the leaves are exactly the canonical forms,
+distinct and in ascending order.  The filter runs once per class and
+nothing is deduplicated, so `--limit` keeps the least classes and
+`--time-budget` is honoured at the next leaf.  One worker runs a single
+DFS with nothing pinned.  A worker pool cuts the first rows into
+chunks, pins each first row in turn, and reads the chunks back in
+order, so the emitted classes and their order are independent of the
+worker count.
 
 A naive filter-all-tables oracle is kept alongside as ground truth; the
 pruned enumerator is required to reproduce its output exactly wherever
@@ -92,10 +98,12 @@ class SearchSpec:
     workers: int = 1
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n (--order) must be at least 1")
-        if self.m < 1:
-            raise ValueError("m (--gammas) must be at least 1")
+        for name, flag in (("n", "order"), ("m", "gammas"), ("max_models", "limit"), ("workers", "workers")):
+            value = getattr(self, name)
+            if not isinstance(value, int) and (value is not None or name != "max_models"):
+                raise ValueError(f"{name} (--{flag}) must be an integer")
+            if value is not None and value < 1:
+                raise ValueError(f"{name} (--{flag}) must be at least 1")
         axioms = frozenset(self.axioms)
         unknown = axioms - set(AXIOM_NAMES)
         if unknown:
@@ -105,12 +113,8 @@ class SearchSpec:
         if filt not in FILTER_NAMES:
             raise ValueError(f"unknown filter {self.filter!r}")
         object.__setattr__(self, "filter", filt)
-        if self.max_models is not None and self.max_models < 1:
-            raise ValueError("max_models (--limit) must be at least 1")
         if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError("time_budget (--time-budget) must be positive")
-        if self.workers < 1:
-            raise ValueError("workers (--workers) must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -242,42 +246,30 @@ def _watch_index(instances: Sequence[tuple], total: int) -> list[list[tuple]]:
     return ready
 
 
-def _lex_ties(t: list[int], cell: int, ties: Sequence[tuple]) -> Optional[list[tuple]]:
-    """The relabelings still tied with t once cells up to `cell` are
-    assigned, or None when one of them is already smaller.
-
-    Each tie is (inv, src, k): the relabeled table [inv[t[x]] for x in
-    src] equals t before position k.  k walks forward while both sides
-    of position k are assigned; a larger relabeled value unties it for
-    good, a smaller one shows t is not the least of its class.
-    """
-    tied = []
-    for inv, src, k in ties:
-        while k <= cell and src[k] <= cell:
-            v = inv[t[src[k]]]
-            if v != t[k]:
-                break
-            k += 1
-        else:
-            tied.append((inv, src, k))
-            continue
-        if v < t[k]:
-            return None
-    return tied
+def _tie_index(n: int, m: int) -> list[list[tuple]]:
+    """ties[c]: the ties (inv, src, k) waiting on cell c, where the
+    relabeled table [inv[t[x]] for x in src] equals t before position
+    k and c = max(k, src[k]).  At first every relabeling but the
+    identity is filed with k = 0 under src[0]."""
+    total = n * n * m
+    ties: list[list[tuple]] = [[] for _ in range(total)]
+    for inv, src in _relabelings(n, m)[1:]:
+        ties[src[0]].append((inv, src, 0))
+    return ties
 
 
 def _dfs(
     t: list[int], cell: int, total: int, n: int, ready: Sequence[Sequence[tuple]],
-    watch: list[list[int]], forced: list[int], ties: Sequence[tuple],
+    watch: list[list[int]], forced: list[int], ties: list[list[tuple]],
 ) -> Iterator[tuple[int, ...]]:
     """Every completion of t[:cell] that satisfies all instances and is
     the least table of its class, in ascending lexicographic order.
 
     watch[c] lists cells above c that must take c's value once c is
-    assigned; forced[c] is the value c must take, or -1.  Both are
-    restored on backtrack, so one pair serves a whole leaf stream, and
-    cells pinned in `forced` before the call stay pinned.  `ties` are
-    the relabelings still tied with t[:cell] (see _lex_ties).
+    assigned; forced[c] is the value c must take, or -1; ties[c] lists
+    the ties waiting on c (see _tie_index).  All three are restored on
+    backtrack, so one set serves a whole leaf stream, and cells pinned
+    in `forced` before the call stay pinned.
     """
     if cell == total:
         yield tuple(t)
@@ -290,6 +282,7 @@ def _dfs(
         t[cell] = v
         fixed: list[int] = []
         pushed: list[int] = []
+        refiled: list[int] = []
         for a in waiting:
             r = forced[a]
             if r < 0:
@@ -319,20 +312,27 @@ def _dfs(
                     watch[b].append(a)
                     pushed.append(b)
             else:
-                tied = _lex_ties(t, cell, ties)
-                if tied is not None:
-                    yield from _dfs(t, cell + 1, total, n, ready, watch, forced, tied)
+                for inv, src, k in ties[cell]:
+                    while (u := inv[t[src[k]]]) == (r := t[k]) and (k := k + 1) < total:
+                        w = src[k] if src[k] > k else k
+                        if w > cell:
+                            ties[w].append((inv, src, k))
+                            refiled.append(w)
+                            break
+                    if u < r:
+                        break
+                else:
+                    yield from _dfs(t, cell + 1, total, n, ready, watch, forced, ties)
         for b in pushed:
             watch[b].pop()
+        for w in refiled:
+            ties[w].pop()
         for a in fixed:
             forced[a] = -1
 
 
 def _passes_filter(g: GammaGroupoid, filt: str) -> bool:
-    if filt == "any":
-        return True
-    holds = is_intra_regular(g).holds
-    return holds if filt == "intra-regular" else not holds
+    return filt == "any" or is_intra_regular(g).holds == (filt == "intra-regular")
 
 
 def _leaves(
@@ -347,12 +347,12 @@ def _leaves(
     ready = _watch_index(compile_instances(n, m, axioms), total)
     watch: list[list[int]] = [[] for _ in range(total)]
     forced = [-1] * total
-    ties = [(inv, src, 0) for inv, src in _relabelings(n, m)[1:]]
+    ties = _tie_index(n, m)
     t = [-1] * total
     for prefix in prefixes:
         forced[:] = list(prefix) + [-1] * (total - len(prefix))
         for flat in _dfs(t, 0, total, n, ready, watch, forced, ties):
-            yield flat if _passes_filter(GammaGroupoid(n, m, flat), filt) else None
+            yield flat if filt == "any" or _passes_filter(GammaGroupoid(n, m, flat), filt) else None
 
 
 def _pool_task(args) -> list[Optional[tuple[int, ...]]]:

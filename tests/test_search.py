@@ -100,17 +100,23 @@ class _Engine:
         self.ready = search._watch_index(compile_instances(n, m, axioms), self.total)
         self.watch = [[] for _ in range(self.total)]
         self.forced = [-1] * self.total
-        # every relabeling but the identity, none yet compared with the table
-        self.ties = [(inv, src, 0) for inv, src in search._relabelings(n, m)[1:]]
+        self.ties = search._tie_index(n, m)
+        # every relabeling but the identity, none yet compared with the
+        # table, so each waits on the first cell it reads
+        self.filing = [[] for _ in range(self.total)]
+        for inv, src in search._relabelings(n, m)[1:]:
+            self.filing[src[0]].append((inv, src, 0))
 
     def leaves(self, prefix):
         pinned = list(prefix) + [-1] * (self.total - len(prefix))
         self.forced[:] = pinned
         t = [-1] * self.total
         out = list(search._dfs(t, 0, self.total, self.n, self.ready, self.watch, self.forced, self.ties))
-        # every watch and forcing is undone on the way back up; the pins stay
+        # every watch, forcing and tie filing is undone on the way back
+        # up; the pins stay
         assert self.watch == [[] for _ in range(self.total)]
         assert self.forced == pinned
+        assert self.ties == self.filing
         return out
 
 
@@ -323,16 +329,26 @@ def test_limit_truncates_only_when_a_class_is_left_out(n, limit, truncated, work
 
 
 def _counting_leaves(monkeypatch):
-    # every DFS leaf goes through the filter once
+    # Every leaf the DFS makes, counted as it is made: the recursion
+    # calls the module's _dfs, so each node passes through here, and a
+    # call at cell == total is a leaf.
     leaves = []
-    real = search._passes_filter
+    real = search._dfs
 
-    def counted(g, filt):
-        leaves.append(None)
-        return real(g, filt)
+    def counted(t, cell, total, *rest):
+        for flat in real(t, cell, total, *rest):
+            if cell == total:
+                leaves.append(None)
+            yield flat
 
-    monkeypatch.setattr(search, "_passes_filter", counted)
+    monkeypatch.setattr(search, "_dfs", counted)
     return leaves
+
+
+def test_filter_any_builds_no_model(monkeypatch):
+    # the leaves are the classes as they stand: no model, no filter call
+    monkeypatch.setattr(search, "_passes_filter", None)
+    assert count_models(SearchSpec(n=3, m=1)).count == 20
 
 
 def test_limit_is_seen_at_the_next_leaf(monkeypatch):
@@ -446,6 +462,12 @@ def test_spec_validation():
         SearchSpec(n=2, m=1, time_budget=0.0)
     with pytest.raises(ValueError):
         SearchSpec(n=2, m=1, workers=0)
+    # counts must be integers; a NaN is not one
+    nan = float("nan")
+    for bad in ({"n": 2.5}, {"m": nan}, {"max_models": 2.5}, {"max_models": nan},
+                {"workers": nan}, {"workers": 2.0}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SearchSpec(**{"n": 3, "m": 1, **bad})
 
 
 def test_scan_refuses_oversized_carrier():
