@@ -100,9 +100,11 @@ class SearchSpec:
     def __post_init__(self):
         for name, flag in (("n", "order"), ("m", "gammas"), ("max_models", "limit"), ("workers", "workers")):
             value = getattr(self, name)
-            if not isinstance(value, int) and (value is not None or name != "max_models"):
+            if value is None and name == "max_models":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} (--{flag}) must be an integer")
-            if value is not None and value < 1:
+            if value < 1:
                 raise ValueError(f"{name} (--{flag}) must be at least 1")
         axioms = frozenset(self.axioms)
         unknown = axioms - set(AXIOM_NAMES)
@@ -113,7 +115,10 @@ class SearchSpec:
         if filt not in FILTER_NAMES:
             raise ValueError(f"unknown filter {self.filter!r}")
         object.__setattr__(self, "filter", filt)
-        if self.time_budget is not None and not self.time_budget > 0:
+        budget = self.time_budget
+        if budget is not None and (isinstance(budget, bool) or not isinstance(budget, (int, float))):
+            raise ValueError("time_budget (--time-budget) must be a number")
+        if budget is not None and not budget > 0:
             raise ValueError("time_budget (--time-budget) must be positive")
 
 
@@ -210,7 +215,7 @@ def compile_instances(n: int, m: int, axioms: Iterable[str]) -> tuple[tuple, ...
     and the second at x = y, so those are skipped.
 
     The DFS files each instance under the cell max(i, j) (see
-    _watch_index).  When that cell is assigned, the outer cells
+    _dfs_states).  When that cell is assigned, the outer cells
     a = t[i]*s + p and b = t[j]*s + q are known; the instance is then
     checked, forces the larger of a and b, or watches the smaller.
     """
@@ -237,40 +242,43 @@ def compile_instances(n: int, m: int, axioms: Iterable[str]) -> tuple[tuple, ...
     return tuple(out)
 
 
-def _watch_index(instances: Sequence[tuple], total: int) -> list[list[tuple]]:
-    """ready[c]: the instances whose inner cells i and j are both known
-    once cell c is assigned, i.e. c = max(i, j)."""
-    ready: list[list[tuple]] = [[] for _ in range(total)]
-    for inst in instances:
-        ready[max(inst[0], inst[3])].append(inst)
-    return ready
+def _dfs_states(
+    n: int, m: int, axioms: Iterable[str], prefixes: Iterable[Sequence[int]]
+) -> Iterator[tuple]:
+    """The DFS state (t, total, n, ready, watch, forced, ties), built
+    once and yielded again with each prefix in turn pinned in `forced`.
 
-
-def _tie_index(n: int, m: int) -> list[list[tuple]]:
-    """ties[c]: the ties (inv, src, k) waiting on cell c, where the
-    relabeled table [inv[t[x]] for x in src] equals t before position
-    k and c = max(k, src[k]).  At first every relabeling but the
-    identity is filed with k = 0 under src[0]."""
+    t is the table of `total` cells over n elements.  ready[c] lists the
+    instances whose inner cells i and j are both known once cell c is
+    assigned, i.e. c = max(i, j).  watch[c] lists cells above c that
+    must take c's value once c is assigned, and forced[c] is the value c
+    must take, or -1.  ties[c] lists the ties (inv, src, k) waiting on
+    cell c: the relabeled table [inv[t[x]] for x in src] equals t before
+    position k, and c = max(k, src[k]).  At first every relabeling but
+    the identity is filed with k = 0 under src[0].  _dfs restores watch,
+    forced and ties on backtrack, so one state serves every prefix.
+    """
     total = n * n * m
+    ready: list[list[tuple]] = [[] for _ in range(total)]
+    for inst in compile_instances(n, m, axioms):
+        ready[max(inst[0], inst[3])].append(inst)
     ties: list[list[tuple]] = [[] for _ in range(total)]
     for inv, src in _relabelings(n, m)[1:]:
         ties[src[0]].append((inv, src, 0))
-    return ties
+    forced = [-1] * total
+    state = ([-1] * total, total, n, ready, [[] for _ in range(total)], forced, ties)
+    for prefix in prefixes:
+        forced[:] = [*prefix, *[-1] * (total - len(prefix))]
+        yield state
 
 
-def _dfs(
-    t: list[int], cell: int, total: int, n: int, ready: Sequence[Sequence[tuple]],
-    watch: list[list[int]], forced: list[int], ties: list[list[tuple]],
-) -> Iterator[tuple[int, ...]]:
+def _dfs(state: tuple, cell: int) -> Iterator[tuple[int, ...]]:
     """Every completion of t[:cell] that satisfies all instances and is
-    the least table of its class, in ascending lexicographic order.
-
-    watch[c] lists cells above c that must take c's value once c is
-    assigned; forced[c] is the value c must take, or -1; ties[c] lists
-    the ties waiting on c (see _tie_index).  All three are restored on
-    backtrack, so one set serves a whole leaf stream, and cells pinned
-    in `forced` before the call stay pinned.
+    the least table of its class, in ascending lexicographic order, over
+    a state from _dfs_states.  Cells pinned in `forced` before the call
+    stay pinned.
     """
+    t, total, n, ready, watch, forced, ties = state
     if cell == total:
         yield tuple(t)
         return
@@ -322,7 +330,7 @@ def _dfs(
                     if u < r:
                         break
                 else:
-                    yield from _dfs(t, cell + 1, total, n, ready, watch, forced, ties)
+                    yield from _dfs(state, cell + 1)
         for b in pushed:
             watch[b].pop()
         for w in refiled:
@@ -343,15 +351,8 @@ def _leaves(
     None when the filter drops it.  Each prefix in turn pins the leading
     cells of the table, and the DFS from cell 0 yields the leaves that
     start with it; the default, one empty prefix, pins nothing."""
-    total = n * n * m
-    ready = _watch_index(compile_instances(n, m, axioms), total)
-    watch: list[list[int]] = [[] for _ in range(total)]
-    forced = [-1] * total
-    ties = _tie_index(n, m)
-    t = [-1] * total
-    for prefix in prefixes:
-        forced[:] = list(prefix) + [-1] * (total - len(prefix))
-        for flat in _dfs(t, 0, total, n, ready, watch, forced, ties):
+    for state in _dfs_states(n, m, axioms, prefixes):
+        for flat in _dfs(state, 0):
             yield flat if filt == "any" or _passes_filter(GammaGroupoid(n, m, flat), filt) else None
 
 
@@ -361,19 +362,14 @@ def _pool_task(args) -> list[Optional[tuple[int, ...]]]:
 
 
 def _scan(spec: SearchSpec) -> tuple[list[tuple[int, ...]], bool, float]:
-    """Canonical forms in ascending order.
-
-    One worker reads the leaf stream of a single DFS.  A pool cuts the
-    n^n first rows into chunks, each task pins the first rows of its
-    chunk in turn, and the tasks are read back in order, so the classes
-    and their order are independent of the worker count.  `max_models`
-    is checked at each class and the time budget at every leaf after
-    the first.  truncated=True means the collected set is (or, on the
-    clock, may be) incomplete: a class turned up past `max_models`, or
-    another leaf arrived after the budget was spent.  Time-budget runs
-    are the documented exception to reproducibility.  Orders and
-    operator counts past the canonicalization guard are refused before
-    any work starts.
+    """Canonical forms in ascending order, from one DFS or from a pool
+    (see the module docstring).  `max_models` is checked at each class
+    and the time budget at every leaf after the first.  truncated=True
+    means the collected set is (or, on the clock, may be) incomplete: a
+    class turned up past `max_models`, or another leaf arrived after the
+    budget was spent.  Time-budget runs are the documented exception to
+    reproducibility.  Orders and operator counts past the
+    canonicalization guard are refused before any work starts.
     """
     _check_canon_size(spec.n, spec.m)
     t0 = time.monotonic()

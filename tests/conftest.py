@@ -28,7 +28,7 @@ def m5() -> GammaGroupoid:
 @pytest.fixture(scope="session")
 def freezer():
     """scripts/freeze_fixtures.py as a module: its builders, `guards_open`,
-    `difference_model` and `cli_digest`."""
+    `difference_model`, `cli_digest` and the hunted check ids `HUNTED`."""
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(SCRIPTS_DIR))
         spec = importlib.util.spec_from_file_location(

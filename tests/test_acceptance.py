@@ -161,18 +161,9 @@ def test_criterion_5_suite_on_enumerated_space(capsys):
         )
 
 
-def test_criterion_6_hunt_reports_revalidate(capsys):
+def test_criterion_6_hunt_reports_revalidate(capsys, freezer):
     start = time.monotonic()
-    hunted = [
-        TheoremId.JI,
-        TheoremId.BIIID,
-        TheoremId.II,
-        TheoremId.IFFFF,
-        TheoremId.SLA2,
-        TheoremId.RSEMIPRIME_EQ,
-        TheoremId.RINTL,
-        TheoremId.LRL,
-    ]
+    hunted = [TheoremId.from_name(name) for name in freezer.HUNTED]
     finds = 0
     for n, m in ((3, 1), (3, 2), (4, 1)):
         for tid in hunted:

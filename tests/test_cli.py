@@ -310,12 +310,16 @@ def test_hunt_matches_frozen_fixture(freezer, row):
     assert freezer.cli_digest(row["argv"]) == (row["exit"], row["sha256"])
 
 
-@pytest.mark.parametrize(
-    "row", load_data("search_outputs.json")["searches"], ids=lambda r: "-".join(r["argv"][1:-1])
-)
-def test_search_matches_frozen_fixture(freezer, row):
-    # search --json on spaces no oracle reaches, byte for byte
-    assert freezer.cli_digest(row["argv"]) == (row["exit"], row["sha256"])
+# each frozen search as frozen (one worker) and with --workers 2 before --json
+SEARCH_RUNS = [(row["argv"][:-1] + pool + row["argv"][-1:], row)
+               for row in load_data("search_outputs.json")["searches"]
+               for pool in ([], ["--workers", "2"])]
+
+
+@pytest.mark.parametrize("argv,row", SEARCH_RUNS, ids=["-".join(argv[1:-1]) for argv, _ in SEARCH_RUNS])
+def test_search_matches_frozen_fixture(freezer, argv, row):
+    # search --json on spaces no oracle reaches, byte for byte, pooled or not
+    assert freezer.cli_digest(argv) == (row["exit"], row["sha256"])
 
 
 def test_canon(capsys, tmp_path):

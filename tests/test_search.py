@@ -91,33 +91,17 @@ def _starting_with(forms, prefix):
     return [c for c in forms if c[: len(prefix)] == prefix]
 
 
-class _Engine:
-    """The production DFS with one watch index and one set of watch and
-    forced lists shared by every prefix, as in one pool task."""
-
-    def __init__(self, n, m, axioms):
-        self.n, self.total = n, n * n * m
-        self.ready = search._watch_index(compile_instances(n, m, axioms), self.total)
-        self.watch = [[] for _ in range(self.total)]
-        self.forced = [-1] * self.total
-        self.ties = search._tie_index(n, m)
-        # every relabeling but the identity, none yet compared with the
-        # table, so each waits on the first cell it reads
-        self.filing = [[] for _ in range(self.total)]
-        for inv, src in search._relabelings(n, m)[1:]:
-            self.filing[src[0]].append((inv, src, 0))
-
-    def leaves(self, prefix):
-        pinned = list(prefix) + [-1] * (self.total - len(prefix))
-        self.forced[:] = pinned
-        t = [-1] * self.total
-        out = list(search._dfs(t, 0, self.total, self.n, self.ready, self.watch, self.forced, self.ties))
-        # every watch, forcing and tie filing is undone on the way back
-        # up; the pins stay
-        assert self.watch == [[] for _ in range(self.total)]
-        assert self.forced == pinned
-        assert self.ties == self.filing
-        return out
+def _dfs_leaves(n, m, axioms, prefixes):
+    """The production DFS's leaves below each prefix in turn, through one
+    state as in one pool task.  Every watch, forcing and tie filing is
+    undone on the way back up, so after each prefix the state is as
+    freshly built with that prefix pinned, the table aside."""
+    fresh = search._dfs_states(n, m, axioms, prefixes)
+    out = {}
+    for prefix, state in zip(prefixes, search._dfs_states(n, m, axioms, prefixes)):
+        out[prefix] = list(search._dfs(state, 0))
+        assert state[1:] == next(fresh)[1:], prefix
+    return out
 
 
 @pytest.mark.parametrize(
@@ -128,22 +112,21 @@ class _Engine:
 def test_dfs_leaf_sequence_matches_reference(n, m, axioms):
     # The leaves are the canonical forms of the reference leaves, each
     # once, ascending: with nothing pinned, and below each first row.
-    engine = _Engine(n, m, axioms)
     want = _reference_forms(n, m, axioms)
-    assert engine.leaves(()) == want
-    for prefix in itertools.product(range(n), repeat=n):
-        assert engine.leaves(prefix) == _starting_with(want, prefix), prefix
+    prefixes = [(), *itertools.product(range(n), repeat=n)]
+    for prefix, got in _dfs_leaves(n, m, axioms, prefixes).items():
+        assert got == _starting_with(want, prefix), prefix
 
 
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("axioms", [AG, AGSS], ids=["ag", "agss"])
 def test_dfs_matches_reference_on_every_prefix(m, axioms):
-    # Prefixes in reverse order through one engine: each prefix's leaves
+    # Prefixes in reverse order through one state: each prefix's leaves
     # must not depend on what ran before it.
-    engine = _Engine(3, m, axioms)
     want = _reference_forms(3, m, axioms)
-    for prefix in reversed(list(itertools.product(range(3), repeat=3))):
-        assert engine.leaves(prefix) == _starting_with(want, prefix), prefix
+    prefixes = list(itertools.product(range(3), repeat=3))[::-1]
+    for prefix, got in _dfs_leaves(3, m, axioms, prefixes).items():
+        assert got == _starting_with(want, prefix), prefix
 
 
 @pytest.mark.parametrize(
@@ -152,24 +135,23 @@ def test_dfs_matches_reference_on_every_prefix(m, axioms):
 @pytest.mark.parametrize("axioms", [AG, AGSS], ids=["ag", "agss"])
 def test_dfs_on_prefixes_of_every_length(n, m, longest, axioms):
     # Prefixes that end inside a row, fill it, run past it or fill the
-    # whole table, longest first and shortest last through one engine.
-    engine = _Engine(n, m, axioms)
+    # whole table, longest first and shortest last through one state.
     want = _reference_forms(n, m, axioms)
-    for length in reversed(range(longest + 1)):
-        for prefix in itertools.product(range(n), repeat=length):
-            assert engine.leaves(prefix) == _starting_with(want, prefix), prefix
+    prefixes = [p for length in reversed(range(longest + 1))
+                for p in itertools.product(range(n), repeat=length)]
+    for prefix, got in _dfs_leaves(n, m, axioms, prefixes).items():
+        assert got == _starting_with(want, prefix), prefix
 
 
 @pytest.mark.parametrize("axioms", [AG, AGSS], ids=["ag", "agss"])
 def test_dfs_on_a_prefix_that_fills_the_table(axioms):
     # Every cell is pinned: each instance is checked at its own cell and
     # the lex-leader ties alone decide whether the table is canonical.
-    n, m, total = 2, 1, 4
-    engine = _Engine(n, m, axioms)
-    for flat in itertools.product(range(n), repeat=total):
-        g = GammaGroupoid(n, m, flat)
+    tables = list(itertools.product(range(2), repeat=4))
+    for flat, got in _dfs_leaves(2, 1, axioms, tables).items():
+        g = GammaGroupoid(2, 1, flat)
         holds = search._passes_axioms(g, axioms) and _reference_canonicalize(g) == flat
-        assert engine.leaves(flat) == ([flat] if holds else [])
+        assert got == ([flat] if holds else [])
 
 
 @settings(max_examples=100, deadline=None)
@@ -335,9 +317,9 @@ def _counting_leaves(monkeypatch):
     leaves = []
     real = search._dfs
 
-    def counted(t, cell, total, *rest):
-        for flat in real(t, cell, total, *rest):
-            if cell == total:
+    def counted(state, cell):
+        for flat in real(state, cell):
+            if cell == state[1]:
                 leaves.append(None)
             yield flat
 
@@ -462,12 +444,16 @@ def test_spec_validation():
         SearchSpec(n=2, m=1, time_budget=0.0)
     with pytest.raises(ValueError):
         SearchSpec(n=2, m=1, workers=0)
-    # counts must be integers; a NaN is not one
+    # counts must be integers; a NaN is not one, nor is a bool
     nan = float("nan")
     for bad in ({"n": 2.5}, {"m": nan}, {"max_models": 2.5}, {"max_models": nan},
-                {"workers": nan}, {"workers": 2.0}):
+                {"workers": nan}, {"workers": 2.0}, {"n": True}, {"m": True},
+                {"max_models": True}, {"workers": True}):
         with pytest.raises(ValueError, match="must be an integer"):
             SearchSpec(**{"n": 3, "m": 1, **bad})
+    for bad in ("5", True):
+        with pytest.raises(ValueError, match="must be a number"):
+            SearchSpec(n=3, m=1, time_budget=bad)
 
 
 def test_scan_refuses_oversized_carrier():
