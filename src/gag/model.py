@@ -2,9 +2,14 @@
 
 A model is a carrier S = {0, ..., n-1} together with an operator set
 Gamma = {0, ..., m-1} and a total operation table sending (x, k, y) to
-the product x *_k y.  Everything in this module is decided by plain
-exhaustive sweeps over the finite table; the predicates here are the
-ground truth the rest of the package is tested against.
+the product x *_k y.  Every law here is decided exhaustively over the
+finite table; the predicates here are the ground truth the rest of the
+package is tested against.  The left invertive and ag-star-star laws
+are plain sweeps.  The medial and paramedial laws compare both sides
+as vectors over their last element variable, each vector a composition
+of two table rows or columns, and rescan plainly only under the first
+failing (x, y, l).  Either way a failed law reports the
+lexicographically least failing instantiation as its witness.
 
 Laws checked (universally quantified over elements x, y, z, ... and
 operators a, b, c taken from Gamma):
@@ -67,17 +72,21 @@ class GammaGroupoid:
     gamma_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.n < 1:
+        # type(...) is int also refuses bool, which would otherwise pass as 0 or 1.
+        n, m = self.n, self.m
+        if type(n) is not int or type(m) is not int:
+            raise ValueError(f"n and m must be integers, got {n!r} and {m!r}")
+        if n < 1:
             raise ValueError("carrier must be non-empty")
-        if self.m < 1:
+        if m < 1:
             raise ValueError("operator set must be non-empty")
-        if len(self.table) != self.n * self.n * self.m:
+        if len(self.table) != n * n * m:
             raise ValueError(
-                f"table has {len(self.table)} entries, expected n*n*m = {self.n * self.n * self.m}"
+                f"table has {len(self.table)} entries, expected n*n*m = {n * n * m}"
             )
         for v in self.table:
-            if not (0 <= v < self.n):
-                raise ValueError(f"table entry {v} out of range 0..{self.n - 1}")
+            if type(v) is not int or not 0 <= v < n:
+                raise ValueError(f"table entry {v!r} is not an integer in 0..{n - 1}")
         if not self.element_labels:
             object.__setattr__(self, "element_labels", _default_element_labels(self.n))
         elif len(self.element_labels) != self.n:
@@ -180,23 +189,58 @@ def _four_variable_sweep(g: GammaGroupoid, law: str, swap: bool) -> LawCheck:
     """The medial law, or with swap the paramedial one: they differ only
     in the outer pair (p, q) of the right-hand side,
     (x a y) b (l c w) == (p a l) b (y c q) with (p, q) = (x, w) or (w, x).
-    The witness is the least failing (x, y, l, w, a, b, c)."""
+    The witness is the least failing (x, y, l, w, a, b, c).
+
+    For each (x, y, l, a, b, c) both sides are compared as vectors over w,
+    each a composition of two table rows (or, for the paramedial
+    right-hand side, two table columns) built once per call.  w is the
+    only coordinate after (x, y, l) in the witness order, so the first
+    (x, y, l) with a mismatch is rescanned over (w, a, b, c) alone."""
     n, m_, t = g.n, g.m, g.table
+    nm = n * m_
+    # rows[u*m + k][w] = u *_k w; lhs[(u*m + b)*nm + v*m + c][w] = u *_b (v *_c w)
+    rows = [t[i * n:i * n + n] for i in range(nm)]
+    lhs = [tuple(map(r.__getitem__, s)) for r in rows for s in rows]
+    if swap:
+        # cols[k*n + v][u] = u *_k v; rhs[(b*n + v)*nm + a*n + l][w] = (w *_a l) *_b v
+        cols = [t[i::nm] for i in range(nm)]
+        rhs = [tuple(map(r.__getitem__, s)) for r in cols for s in cols]
+        b_step = n * nm
+    else:
+        rhs, b_step = lhs, nm
     for x in range(n):
         for y in range(n):
+            # The right-hand side index is right + b*b_step + offs[c].
+            offs = [t[(y * m_ + c) * n + x] * nm for c in range(m_)] if swap else range(m_)
             for l in range(n):
-                for w in range(n):
-                    p, q = (w, x) if swap else (x, w)
-                    for a in range(m_):
-                        xy = t[(x * m_ + a) * n + y]
-                        pl = t[(p * m_ + a) * n + l]
-                        for b in range(m_):
-                            for c in range(m_):
-                                lw = t[(l * m_ + c) * n + w]
-                                yq = t[(y * m_ + c) * n + q]
-                                if t[(xy * m_ + b) * n + lw] != t[(pl * m_ + b) * n + yq]:
-                                    return LawCheck(law, False, (x, y, l, w, a, b, c))
+                for a in range(m_):
+                    xa = (x * m_ + a) * n
+                    left = t[xa + y] * m_ * nm + l * m_
+                    right = a * n + l if swap else t[xa + l] * m_ * nm + y * m_
+                    for b in range(m_):
+                        for c, off in enumerate(offs):
+                            if lhs[left + c] != rhs[right + off]:
+                                return _least_witness(g, law, swap, x, y, l)
+                        left += nm
+                        right += b_step
     return LawCheck(law, True)
+
+
+def _least_witness(g: GammaGroupoid, law: str, swap: bool, x: int, y: int, l: int) -> LawCheck:
+    """The least failing (w, a, b, c) under a fixed (x, y, l), by the plain loop."""
+    n, m_, t = g.n, g.m, g.table
+    for w in range(n):
+        p, q = (w, x) if swap else (x, w)
+        for a in range(m_):
+            xy = t[(x * m_ + a) * n + y]
+            pl = t[(p * m_ + a) * n + l]
+            for b in range(m_):
+                for c in range(m_):
+                    lw = t[(l * m_ + c) * n + w]
+                    yq = t[(y * m_ + c) * n + q]
+                    if t[(xy * m_ + b) * n + lw] != t[(pl * m_ + b) * n + yq]:
+                        return LawCheck(law, False, (x, y, l, w, a, b, c))
+    raise AssertionError("no violation under the mismatching (x, y, l)")
 
 
 def is_medial(g: GammaGroupoid) -> LawCheck:

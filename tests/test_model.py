@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from gag import (
     GammaGroupoid,
+    LawCheck,
     all_models,
     axiom_profile,
     is_ag_star_star,
@@ -119,6 +120,75 @@ def test_witness_is_least_violation(decide, n_elements, n_ops, law, g):
         assert chk.witness == min(bad)
 
 
+# --- reference route: the plain medial/paramedial sweep ----------------------
+
+def _reference_four_variable_sweep(g, law, swap):
+    # The medial law, or with swap the paramedial one, by the plain loop
+    # over (x, y, l, w, a, b, c) in lexicographic order.
+    n, m_, t = g.n, g.m, g.table
+    for x in range(n):
+        for y in range(n):
+            for l in range(n):
+                for w in range(n):
+                    p, q = (w, x) if swap else (x, w)
+                    for a in range(m_):
+                        xy = t[(x * m_ + a) * n + y]
+                        pl = t[(p * m_ + a) * n + l]
+                        for b in range(m_):
+                            for c in range(m_):
+                                lw = t[(l * m_ + c) * n + w]
+                                yq = t[(y * m_ + c) * n + q]
+                                if t[(xy * m_ + b) * n + lw] != t[(pl * m_ + b) * n + yq]:
+                                    return LawCheck(law, False, (x, y, l, w, a, b, c))
+    return LawCheck(law, True)
+
+
+def _four_variable_checks(g):
+    """[(decided, reference)] for the medial and the paramedial law."""
+    return [
+        (decide(g), _reference_four_variable_sweep(g, law, swap))
+        for decide, law, swap in ((is_medial, "medial", False), (is_paramedial, "paramedial", True))
+    ]
+
+
+def _difference_table(n, m, shift, low=0):
+    """x *_k y = low + (y - x + shift*k) mod (n - low) on the elements >= low,
+    and 0 whenever x or y is below low.  All four laws hold: on the top
+    elements as on Z/(n - low), and below them both sides are 0."""
+    top = n - low
+    return [
+        0 if min(x, y) < low else low + (y - x + shift * k) % top
+        for x in range(n) for k in range(m) for y in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3), (2, 3)])
+def test_four_variable_laws_match_reference_on_every_table(n, m):
+    for g in all_models(n, m):
+        for chk, ref in _four_variable_checks(g):
+            assert (chk.holds, chk.witness) == (ref.holds, ref.witness), (chk.law, g.table)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+def test_four_variable_laws_match_reference_on_law_families(n, m):
+    # Random tables almost never satisfy either law, so these families
+    # reach the path where the law holds and the paths where it fails
+    # only late: one changed last cell makes l = w = n - 1 in the first
+    # violation, and with the lower elements sent to 0 its x is n - 3.
+    for shift, low in ((0, 0), (1, 0), (1, max(n - 3, 0))):
+        flat = _difference_table(n, m, shift, low)
+        for chk, ref in _four_variable_checks(GammaGroupoid(n, m, tuple(flat))):
+            assert chk and ref
+        if n - low < 2:
+            continue
+        flat[-1] = low + (flat[-1] - low + 1) % (n - low)
+        for chk, ref in _four_variable_checks(GammaGroupoid(n, m, tuple(flat))):
+            assert not chk
+            assert chk.witness == ref.witness
+            assert chk.witness[0] == low
+
+
 @settings(max_examples=150)
 @given(models())
 def test_ag_star_star_witness_violates_law(g):
@@ -200,6 +270,23 @@ def test_validation_errors():
         GammaGroupoid.from_tables([])
     with pytest.raises(ValueError):
         GammaGroupoid.from_tables([[[0, 0], [0]]])
+
+
+@pytest.mark.parametrize(
+    "n, m, table",
+    [
+        (2, 1, (0.0, 1, 1, 0)),
+        (2, 1, (False, 1, 1, 0)),
+        (2, 1, ("0", 1, 1, 0)),
+        (2.0, 1, (0, 1, 1, 0)),
+        (2, 1.0, (0, 1, 1, 0)),
+        (True, 1, (0,)),
+        (2, True, (0, 1, 1, 0)),
+    ],
+)
+def test_non_integer_fields_are_refused(n, m, table):
+    with pytest.raises(ValueError):
+        GammaGroupoid(n, m, table)
 
 
 def test_product_index_errors(m5):
