@@ -14,13 +14,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from gag.search import (
-    AXIOM_SETS,
-    FILTER_NAMES,
-    SearchSpec,
-    enumerate_models,
-    naive_enumerate,
-)
+from gag.oracles import naive_enumerate
+from gag.search import AXIOM_SETS, FILTER_NAMES, SearchSpec, enumerate_models
 
 
 def main() -> int:

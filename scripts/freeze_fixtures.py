@@ -25,13 +25,13 @@ from gag.cli import main as gag_main
 from gag.fileformat import serialize_model
 from gag.fixtures import PAPER_EXAMPLE_TOKEN, paper_example
 from gag.model import GammaGroupoid, all_models
+from gag.oracles import naive_enumerate
 from gag.search import (
     AXIOM_SETS,
     FILTER_NAMES,
     SearchSpec,
     enumerate_models,
     find_counterexamples,
-    naive_enumerate,
 )
 from gag.theorems import TheoremId, run_suite, suite_to_json_obj
 from hunt_gaps import HUNTED
@@ -86,9 +86,7 @@ def gap_hunts() -> dict:
     scanned = []
     for n, m in [*GRID, (4, 1)]:
         t0 = time.time()
-        space = enumerate_models(
-            SearchSpec(n=n, m=m, axioms=AXIOM_SETS["agss"], workers=4)
-        )
+        space = enumerate_models(SearchSpec(n=n, m=m, axioms=AXIOM_SETS["agss"]))
         scanned.append({"order": n, "gammas": m, "classes": space.count})
         left = [t for t in hunted if not findings[t.value]["found"]]
         for tid, hunt in find_counterexamples(space, left).items():

@@ -36,7 +36,7 @@ def main() -> int:
         type=_theorem_id,
         help="check to hunt; repeatable (default: the converse-capable set)",
     )
-    ap.add_argument("--workers", type=int, default=4)
+    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--show-models", action="store_true", help="print each witness model")
     args = ap.parse_args()
     hunted = args.theorem or [TheoremId.from_name(n) for n in HUNTED]

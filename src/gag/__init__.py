@@ -50,7 +50,6 @@ from .regularity import (
     IntraRegularityReport,
     IntraWitness,
     format_witness,
-    intra_oracle,
     intra_witness,
     is_intra_regular,
 )
@@ -59,15 +58,12 @@ from .search import (
     SearchResult,
     SearchSpec,
     SizeGuardError,
-    are_isomorphic,
     canonical_model,
     canonicalize,
     count_models,
     enumerate_models,
     find_counterexample,
     find_counterexamples,
-    naive_enumerate,
-    naive_enumerate_direct,
 )
 from .subsets import (
     CarrierMismatchError,

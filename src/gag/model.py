@@ -80,21 +80,29 @@ class GammaGroupoid:
             raise ValueError("carrier must be non-empty")
         if m < 1:
             raise ValueError("operator set must be non-empty")
-        if len(self.table) != n * n * m:
+        # Stored as tuples so that models hash (the suite caches per model);
+        # tuple() of a tuple is the tuple itself.
+        table = tuple(self.table)
+        object.__setattr__(self, "table", table)
+        if len(table) != n * n * m:
             raise ValueError(
-                f"table has {len(self.table)} entries, expected n*n*m = {n * n * m}"
+                f"table has {len(table)} entries, expected n*n*m = {n * n * m}"
             )
-        for v in self.table:
+        for v in table:
             if type(v) is not int or not 0 <= v < n:
                 raise ValueError(f"table entry {v!r} is not an integer in 0..{n - 1}")
-        if not self.element_labels:
-            object.__setattr__(self, "element_labels", _default_element_labels(self.n))
-        elif len(self.element_labels) != self.n:
-            raise ValueError("need one label per element")
-        if not self.gamma_labels:
-            object.__setattr__(self, "gamma_labels", _default_gamma_labels(self.m))
-        elif len(self.gamma_labels) != self.m:
-            raise ValueError("need one label per operator")
+        for field, size, default, what in (
+            ("element_labels", n, _default_element_labels, "element"),
+            ("gamma_labels", m, _default_gamma_labels, "operator"),
+        ):
+            labels = tuple(getattr(self, field))
+            if not labels:
+                labels = default(size)
+            elif len(labels) != size:
+                raise ValueError(f"need one label per {what}")
+            elif len(set(labels)) != size:
+                raise ValueError(f"duplicate {what} label in {labels!r}")
+            object.__setattr__(self, field, labels)
 
     @classmethod
     def from_tables(

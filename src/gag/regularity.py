@@ -2,9 +2,8 @@
 
 An element a is intra-regular when such x, y and operators b, d, c
 exist; a model is intra-regular when every element is.  The witness
-search and the subset-product oracle below are two independent routes
-to the same predicate and are kept separate on purpose: the oracle
-checks membership of a in (S*(a*a))*S and never looks at witnesses.
+search is the only route here; the tests hold it to an independent
+one, membership of a in (S*(a*a))*S by subset products alone.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import GammaGroupoid
-from .subsets import Subset, subset_product
 
 
 @dataclass(frozen=True)
@@ -62,16 +60,6 @@ def is_intra_regular(g: GammaGroupoid) -> IntraRegularityReport:
     witnesses = tuple(intra_witness(g, a) for a in range(g.n))
     offenders = tuple(a for a, w in enumerate(witnesses) if w is None)
     return IntraRegularityReport(not offenders, witnesses, offenders)
-
-
-def intra_oracle(g: GammaGroupoid, a: int) -> bool:
-    """Membership route: a in (S*({a}*{a}))*S, via subset products only."""
-    if not (0 <= a < g.n):
-        raise ValueError(f"element index out of range 0..{g.n - 1}")
-    s = Subset.full(g.n)
-    sa = Subset.singleton(g.n, a)
-    aa = subset_product(g, sa, sa)
-    return a in subset_product(g, subset_product(g, s, aa), s)
 
 
 def format_witness(g: GammaGroupoid, a: int, w: IntraWitness) -> str:

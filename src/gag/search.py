@@ -36,10 +36,9 @@ chunks, pins each first row in turn, and reads the chunks back in
 order, so the emitted classes and their order are independent of the
 worker count.
 
-A naive filter-all-tables oracle is kept alongside as ground truth; the
-pruned enumerator is required to reproduce its output exactly wherever
-the oracle is feasible.  Model counts are never hard-coded: the oracle
-produces them first, then they get frozen as regression fixtures.
+The ground truth this enumerator is held to is the naive oracle in
+`gag.oracles`, which shares nothing with the DFS but `canonicalize` and
+the filter.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from multiprocessing import Pool
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .fileformat import model_to_json_obj
-from .model import GammaGroupoid, is_ag_star_star, is_left_invertive
+from .model import GammaGroupoid
 from .regularity import is_intra_regular
 from .theorems import FAIL, TheoremId, TheoremReport, run_check, suite_to_json_obj
 
@@ -183,23 +182,6 @@ def canonicalize(g: GammaGroupoid) -> tuple[int, ...]:
 
 def canonical_model(g: GammaGroupoid) -> GammaGroupoid:
     return GammaGroupoid(g.n, g.m, canonicalize(g))
-
-
-def are_isomorphic(g1: GammaGroupoid, g2: GammaGroupoid) -> bool:
-    """Witness search for a bijection pair; independent of canonicalize."""
-    if g1.n != g2.n or g1.m != g2.m:
-        return False
-    n, m = g1.n, g1.m
-    for p in itertools.permutations(range(n)):
-        for q in itertools.permutations(range(m)):
-            if all(
-                g2.table[(p[i] * m + q[k]) * n + p[j]] == p[g1.table[(i * m + k) * n + j]]
-                for i in range(n)
-                for k in range(m)
-                for j in range(n)
-            ):
-                return True
-    return False
 
 
 # --- ground law instances for pruning ---------------------------------------
@@ -432,66 +414,6 @@ def find_counterexamples(
 def find_counterexample(spec: SearchSpec, theorem: TheoremId) -> HuntResult:
     """The least model of the spec's space failing `theorem`."""
     return find_counterexamples(enumerate_models(spec), (theorem,))[theorem]
-
-
-# --- naive oracles ----------------------------------------------------------
-
-def _passes_axioms(g: GammaGroupoid, axioms: frozenset) -> bool:
-    if "left-invertive" in axioms and not is_left_invertive(g):
-        return False
-    if "ag-star-star" in axioms and not is_ag_star_star(g):
-        return False
-    return True
-
-
-def _oracle_forms(
-    n: int, m: int, tables: Iterable[Sequence[int]], axioms: frozenset, filt: str
-) -> list[tuple[int, ...]]:
-    """Sorted canonical forms of the tables that pass the model-level
-    law checks and the filter."""
-    forms: set[tuple[int, ...]] = set()
-    for flat in tables:
-        g = GammaGroupoid(n, m, flat)
-        if _passes_axioms(g, axioms) and _passes_filter(g, filt):
-            forms.add(canonicalize(g))
-    return sorted(forms)
-
-
-def naive_enumerate_direct(
-    n: int, m: int,
-    axioms: frozenset = frozenset({"left-invertive"}),
-    filt: str = "any",
-) -> list[tuple[int, ...]]:
-    """Literal sweep of all n^(n*n*m) tables through the model-level law
-    checks; the ground-truth oracle for the pruned enumerator."""
-    return _oracle_forms(n, m, itertools.product(range(n), repeat=n * n * m), axioms, filt)
-
-
-def _interleave(singles: Sequence[Sequence[int]], n: int, m: int) -> tuple[int, ...]:
-    return tuple(singles[k][i * n + j] for i in range(n) for k in range(m) for j in range(n))
-
-
-def naive_enumerate(
-    n: int, m: int,
-    axioms: frozenset = frozenset({"left-invertive"}),
-    filt: str = "any",
-) -> list[tuple[int, ...]]:
-    """Oracle with a sound per-table prefilter for m > 1.
-
-    Any multi-operator model restricted to one operator must satisfy the
-    single-operator laws (the operator-diagonal ground instances), so
-    candidate tuples are drawn from single-table survivors and the full
-    law check runs on each recombination.  Agrees with the direct sweep
-    wherever that is feasible; stays entirely on the model-level checks.
-    """
-    if m == 1:
-        return naive_enumerate_direct(n, m, axioms, filt)
-    singles = [
-        flat for flat in itertools.product(range(n), repeat=n * n)
-        if _passes_axioms(GammaGroupoid(n, 1, flat), axioms)
-    ]
-    combos = (_interleave(c, n, m) for c in itertools.product(singles, repeat=m))
-    return _oracle_forms(n, m, combos, axioms, filt)
 
 
 # --- serialization ----------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from gag import GammaGroupoid
+from gag import GammaGroupoid, Subset, subset_product
 from gag.fixtures import paper_example
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -17,6 +17,17 @@ SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
 def load_data(name: str):
     with open(DATA_DIR / name) as fh:
         return json.load(fh)
+
+
+def intra_oracle(g: GammaGroupoid, a: int) -> bool:
+    """Membership route: a in (S*({a}*{a}))*S, via subset products only.
+    The reference that `intra_witness` is held to."""
+    if not (0 <= a < g.n):
+        raise ValueError(f"element index out of range 0..{g.n - 1}")
+    s = Subset.full(g.n)
+    sa = Subset.singleton(g.n, a)
+    aa = subset_product(g, sa, sa)
+    return a in subset_product(g, subset_product(g, s, aa), s)
 
 
 @pytest.fixture(scope="session")

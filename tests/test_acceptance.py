@@ -9,7 +9,7 @@ import random
 import time
 from itertools import product as iproduct
 
-from conftest import load_data
+from conftest import intra_oracle, load_data
 
 from gag import (
     GammaGroupoid,
@@ -18,7 +18,6 @@ from gag import (
     all_models,
     enumerate_models,
     find_counterexample,
-    intra_oracle,
     intra_witness,
     is_intra_regular,
     is_left_invertive,
@@ -27,7 +26,7 @@ from gag import (
     run_suite,
 )
 from gag.cli import main as cli_main
-from gag.search import naive_enumerate
+from gag.oracles import naive_enumerate
 
 AG = frozenset({"left-invertive"})
 AGSS = frozenset({"left-invertive", "ag-star-star"})

@@ -8,14 +8,20 @@ from hypothesis import given, settings
 
 from gag import (
     GammaGroupoid,
+    IdealKind,
     LawCheck,
+    TheoremId,
     all_models,
     axiom_profile,
+    ideal_family,
     is_ag_star_star,
     is_left_invertive,
     is_medial,
     is_paramedial,
     left_identities,
+    parse_model,
+    run_suite,
+    serialize_model,
 )
 
 # Left projection x*y = x breaks the left invertive law at n >= 2;
@@ -266,6 +272,11 @@ def test_validation_errors():
         GammaGroupoid(2, 1, (0, 0, 0, 2))
     with pytest.raises(ValueError):
         GammaGroupoid(2, 1, (0,) * 4, element_labels=("a",))
+    # Duplicate labels would serialize to a document the parser refuses.
+    with pytest.raises(ValueError):
+        GammaGroupoid(2, 1, (0,) * 4, element_labels=("a", "a"))
+    with pytest.raises(ValueError):
+        GammaGroupoid(1, 2, (0, 0), gamma_labels=["g", "g"])
     with pytest.raises(ValueError):
         GammaGroupoid.from_tables([])
     with pytest.raises(ValueError):
@@ -305,3 +316,13 @@ def test_default_labels():
     g = GammaGroupoid(3, 2, (0,) * 18)
     assert g.element_labels == ("a", "b", "c")
     assert g.gamma_labels == ("g0", "g1")
+
+
+def test_list_table_and_labels_are_stored_as_tuples():
+    # A list does not hash, and the suite caches per model; stored as
+    # tuples, the model builds, verifies and round-trips.
+    g = GammaGroupoid(2, 1, [0, 1, 1, 0], element_labels=["p", "q"], gamma_labels=["o"])
+    assert (g.table, g.element_labels, g.gamma_labels) == ((0, 1, 1, 0), ("p", "q"), ("o",))
+    assert ideal_family(g, IdealKind.LEFT)
+    assert len(run_suite(g)) == len(TheoremId)
+    assert parse_model(serialize_model(g)) == g

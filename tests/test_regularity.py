@@ -2,15 +2,13 @@
 
 from itertools import product as iproduct
 
-import pytest
-from conftest import models
+from conftest import intra_oracle, models
 from hypothesis import given, settings
 
 from gag import (
     GammaGroupoid,
     IntraWitness,
     format_witness,
-    intra_oracle,
     intra_witness,
     is_intra_regular,
 )
@@ -125,8 +123,3 @@ def test_format_witness_multi_operator():
         "a = (a g0 (a g0 a)) g0 a",
         "b = (a g0 (b g0 b)) g1 a",
     ]
-
-
-def test_oracle_index_error(m5):
-    with pytest.raises(ValueError):
-        intra_oracle(m5, 5)

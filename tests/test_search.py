@@ -13,7 +13,7 @@ from gag import (
     SearchSpec,
     SizeGuardError,
     TheoremId,
-    are_isomorphic,
+    all_models,
     canonical_model,
     canonicalize,
     count_models,
@@ -21,13 +21,9 @@ from gag import (
     find_counterexample,
     find_counterexamples,
 )
-from gag import search
-from gag.search import (
-    compile_instances,
-    naive_enumerate,
-    naive_enumerate_direct,
-    spec_to_json_obj,
-)
+from gag import oracles, search
+from gag.oracles import naive_enumerate
+from gag.search import compile_instances, spec_to_json_obj
 
 AG = frozenset({"left-invertive"})
 AGSS = frozenset({"left-invertive", "ag-star-star"})
@@ -150,7 +146,7 @@ def test_dfs_on_a_prefix_that_fills_the_table(axioms):
     tables = list(itertools.product(range(2), repeat=4))
     for flat, got in _dfs_leaves(2, 1, axioms, tables).items():
         g = GammaGroupoid(2, 1, flat)
-        holds = search._passes_axioms(g, axioms) and _reference_canonicalize(g) == flat
+        holds = oracles._passes_axioms(g, axioms) and _reference_canonicalize(g) == flat
         assert got == ([flat] if holds else [])
 
 
@@ -215,6 +211,23 @@ def test_canonicalize_size_guard(monkeypatch):
     assert search._RELABELINGS == {}
 
 
+def are_isomorphic(g1, g2):
+    """Witness search for a bijection pair; independent of canonicalize."""
+    if g1.n != g2.n or g1.m != g2.m:
+        return False
+    n, m = g1.n, g1.m
+    for p in itertools.permutations(range(n)):
+        for q in itertools.permutations(range(m)):
+            if all(
+                g2.table[(p[i] * m + q[k]) * n + p[j]] == p[g1.table[(i * m + k) * n + j]]
+                for i in range(n)
+                for k in range(m)
+                for j in range(n)
+            ):
+                return True
+    return False
+
+
 @settings(max_examples=60, deadline=None)
 @given(models(max_n=3, max_m=2), models(max_n=3, max_m=2))
 def test_canonical_equality_iff_isomorphic(g1, g2):
@@ -222,6 +235,15 @@ def test_canonical_equality_iff_isomorphic(g1, g2):
         assert not are_isomorphic(g1, g2)
     else:
         assert are_isomorphic(g1, g2) == (canonicalize(g1) == canonicalize(g2))
+
+
+def naive_enumerate_direct(n, m, axioms, filt):
+    """Literal sweep of all n^(n*n*m) tables through the model-level law
+    checks; the reference for the oracle's recombination route."""
+    return sorted({
+        canonicalize(g) for g in all_models(n, m)
+        if oracles._passes_axioms(g, axioms) and search._passes_filter(g, filt)
+    })
 
 
 # Every space small enough for the direct sweep over all tables.
@@ -236,10 +258,11 @@ def test_enumerator_matches_naive_oracle(n, m, axioms):
         assert count_models(spec).count == len(want)
 
 
-@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (1, 3)])
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (3, 1), (2, 2), (2, 3), (1, 3)])
 def test_factored_oracle_matches_direct(n, m):
     for axioms in (AG, AGSS):
-        assert naive_enumerate(n, m, axioms) == naive_enumerate_direct(n, m, axioms)
+        for filt in ("any", "intra-regular", "non-intra-regular"):
+            assert naive_enumerate(n, m, axioms, filt) == naive_enumerate_direct(n, m, axioms, filt)
 
 
 def test_counts_match_frozen_fixture():
