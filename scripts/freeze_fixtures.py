@@ -67,7 +67,7 @@ def enum_counts() -> dict:
                 )
     return {
         "comment": "class counts up to isomorphism, produced by the naive "
-        "filter-all-tables oracle (factored per-table prefilter for m>1)",
+        "oracle (single-operator tables that pass the laws, recombined for every m)",
         "counts": rows,
     }
 

@@ -484,9 +484,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+# built once per process; parse_args returns a fresh Namespace on every call
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, ModelFormatError, SizeGuardError, EmptySubsetError, OSError) as e:

@@ -7,7 +7,7 @@ import time
 import pytest
 from conftest import load_data
 
-from gag import GammaGroupoid, parse_model, parse_models, serialize_model
+from gag import GammaGroupoid, TheoremId, parse_model, parse_models, serialize_model
 from gag.cli import main
 from gag.fixtures import PAPER_EXAMPLE_TOKEN
 
@@ -351,6 +351,84 @@ def test_canon_agrees_for_isomorphic_presentations(capsys, tmp_path):
     code2, out2, _ = run(capsys, "canon", str(p2))
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+class TestRepeatedCalls:
+    # main reuses one parser per process; no call may leave state behind
+
+    def test_theorem_selection_does_not_stick(self, capsys):
+        code, out, _ = run(capsys, "verify", "--json", "--theorem", "KI", M5)
+        assert code == 0
+        assert len(json.loads(out)["reports"]) == 1
+        code, out, _ = run(capsys, "verify", "--json", M5)
+        assert code == 0
+        assert len(json.loads(out)["reports"]) == 31
+
+    def test_count_flag_does_not_stick(self, capsys):
+        code, out, _ = run(capsys, "search", "--order", "3", "--count")
+        assert code == 0
+        assert "count=20" in out
+        code, out, _ = run(capsys, "search", "--order", "3", "--json")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["search"]["target"] == "enumerate"
+        assert len(obj["models"]) == obj["count"] == 20
+
+    def test_kind_does_not_stick(self, capsys):
+        code, out, _ = run(capsys, "ideals", M5, "--kind", "all")
+        assert code == 0
+        assert "subgroupoid (7):" in out
+        code, out, _ = run(capsys, "ideals", M5)
+        assert code == 0
+        assert out == "two-sided (2):\n  {a}\n  {a, b, c, d, e}\n"
+
+    def test_usage_error_leaves_no_trace(self, capsys):
+        argv = ["ideals", M5, "--kind", "left", "--json"]
+        before = run(capsys, *argv)
+        assert before[0] == 0
+        code, out, _ = run(capsys, "search", "--order", "two")
+        assert (code, out) == (64, "")
+        assert run(capsys, *argv) == before
+
+    def test_main_never_rebuilds_the_parser(self, capsys, monkeypatch):
+        def rebuilt():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr("gag.cli.build_parser", rebuilt)
+        code, out, _ = run(capsys, "verify", M5)
+        assert code == 0
+        assert "31 checks: 29 pass, 2 vacuous" in out
+
+
+# A distinctive phrase from each description; a wide terminal keeps it on one line.
+HELP_DESCRIPTIONS = {
+    "": "Finite-model toolkit for operator groupoids satisfying the left invertive law.",
+    "check": "Sweep the four structural laws and list left identities.",
+    "ideals": "List the non-empty subsets forming the requested ideal kind",
+    "intra": "Per-element decomposition witnesses.",
+    "verify": "Run the executable structure theorems against one model.",
+    "search": "Enumerate models of a given order up to isomorphism",
+    "canon": "Print the lexicographically least relabeling",
+}
+
+
+@pytest.mark.parametrize("sub,description", HELP_DESCRIPTIONS.items(), ids=[s or "gag" for s in HELP_DESCRIPTIONS])
+def test_help(capsys, monkeypatch, sub, description):
+    monkeypatch.setenv("COLUMNS", "1000")
+    code, out, err = run(capsys, *sub.split(), "--help")
+    assert code == 0
+    assert err == ""
+    assert out.startswith(f"usage: gag {sub}".rstrip())
+    assert description in out
+
+
+def test_verify_help_lists_every_theorem(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0
+    listed = out.split("Known checks: ", 1)[1].split(". ", 1)[0].split(", ")
+    assert listed == [t.value for t in TheoremId]
+    assert len(listed) == 31
 
 
 class TestUsageErrors:
