@@ -55,10 +55,17 @@ def _meaningful_lines(text: str) -> Iterator[tuple[int, str]]:
 
 
 def _check_names(names: list[str], what: str, lineno: int) -> None:
+    """Refuse what the text format cannot carry: an empty list, a
+    repeated name, and a name that is empty, holds whitespace (the
+    separator) or starts with '#' (a comment)."""
     if not names:
         raise ModelFormatError(f"empty {what} list", lineno)
     seen = set()
     for nm in names:
+        if nm.split() != [nm] or nm.startswith("#"):
+            raise ModelFormatError(
+                f"{what} name {nm!r} is empty, holds whitespace or starts with '#'", lineno
+            )
         if nm in seen:
             raise ModelFormatError(f"duplicate {what} name {nm!r}", lineno)
         seen.add(nm)

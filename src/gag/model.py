@@ -4,12 +4,15 @@ A model is a carrier S = {0, ..., n-1} together with an operator set
 Gamma = {0, ..., m-1} and a total operation table sending (x, k, y) to
 the product x *_k y.  Every law here is decided exhaustively over the
 finite table; the predicates here are the ground truth the rest of the
-package is tested against.  The left invertive and ag-star-star laws
-are plain sweeps.  The medial and paramedial laws compare both sides
-as vectors over their last element variable, each vector a composition
-of two table rows or columns, and rescan plainly only under the first
-failing (x, y, l).  Either way a failed law reports the
-lexicographically least failing instantiation as its witness.
+package is tested against.
+
+Each law has one kernel that states it as a symmetry of composed table
+rows: for each block of fixed variables it builds both sides as nested
+tuples with `map` and `zip(*...)` and compares them with one tuple
+`==`.  `holds` stops at the first failing block.  A failed law reports
+the lexicographically least failing instantiation as its witness: each
+failing block is laid out so that its first mismatch is its own least
+one, and the witness is the minimum of those over the failing blocks.
 
 Laws checked (universally quantified over elements x, y, z, ... and
 operators a, b, c taken from Gamma):
@@ -28,9 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import chain
 from itertools import product as iproduct
 from operator import or_
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 def _default_element_labels(n: int) -> tuple[str, ...]:
@@ -161,7 +165,7 @@ class GammaGroupoid:
 
 @dataclass(frozen=True)
 class LawCheck:
-    """Outcome of one law sweep.  Truthy iff the law holds.
+    """Outcome of deciding one law on one table.  Truthy iff the law holds.
 
     On failure, `witness` is the lexicographically least failing
     instantiation; its component order is documented per law below.
@@ -175,80 +179,142 @@ class LawCheck:
         return self.holds
 
 
+# A law kernel yields one (p, q, fixed) per failing block: p != q are
+# nested sequences of table entries, laid out so that their first
+# differing index path is the block's least failing instantiation, and
+# that path fills the None slots of `fixed`, in order, to give it.
+_Block = tuple[Sequence, Sequence, tuple[Optional[int], ...]]
+
+
+def _grouped(seq: Sequence[int], width: int) -> list[tuple[int, ...]]:
+    """seq cut into consecutive tuples of `width`: _grouped(g.table, g.n)
+    [u*m + k] is the row of u *_k w over w."""
+    return list(zip(*[iter(seq)] * width))
+
+
+def _composed(rows: list, m: int, b: int, c: int) -> Iterator[Iterator[int]]:
+    """Per u, u *_b (l *_c w) over (l, w): each row of *_b mapped over
+    the whole table of *_c."""
+    table_c = tuple(chain.from_iterable(rows[c::m]))
+    return (map(r.__getitem__, table_c) for r in rows[b::m])
+
+
+def _left_invertive(g: GammaGroupoid) -> Iterator[_Block]:
+    """Per (y, a, b): Q[x][z] = (x a y) b z, the rows of *_b picked by
+    column y of *_a.  The law is Q == Q transposed."""
+    n, m, t = g.n, g.m, g.table
+    rows = _grouped(t, n)
+    by_op = [rows[b::m] for b in range(m)]
+    for y in range(n):
+        for a in range(m):
+            col = t[a * n + y::n * m]
+            for b in range(m):
+                q = list(map(by_op[b].__getitem__, col))
+                qt = list(zip(*q))
+                if q != qt:
+                    yield q, qt, (None, y, None, a, b)
+
+
+def _ag_star_star(g: GammaGroupoid) -> Iterator[_Block]:
+    """H[x][a] = row (x, a) mapped over the flat table, x a (y b z) over
+    (y, b, z).  The law is: block y of H[x][a] equals block x of H[y][a]
+    for every x < y.  H grows one y at a time, so an early failure
+    builds little of it."""
+    n, m, t = g.n, g.m, g.table
+    nm = n * m
+    rows = _grouped(t, n)
+    h = []
+    for y in range(n):
+        hy = [tuple(map(r.__getitem__, t)) for r in rows[y * m:y * m + m]]
+        for x in range(y):
+            for a in range(m):
+                p, q = h[x][a][y * nm:y * nm + nm], hy[a][x * nm:x * nm + nm]
+                if p != q:
+                    # (b, z) regrouped as (z, b), the witness order
+                    yield (list(zip(*_grouped(p, n))), list(zip(*_grouped(q, n))),
+                           (x, y, None, a, None))
+        h.append(hy)
+
+
+def _medial(g: GammaGroupoid) -> Iterator[_Block]:
+    """Per (b, c): blk[u][l][w] = u b (l c w).  Per (x, a):
+    Z[y] = blk[x a y], so Z[y][l][w] = (x a y) b (l c w) and the law is
+    Z == Z transposed over (y, l)."""
+    n, m, t = g.n, g.m, g.table
+    rows = _grouped(t, n)
+    for b in range(m):
+        for c in range(m):
+            blk = [tuple(_grouped(v, n)) for v in _composed(rows, m, b, c)]
+            for x in range(n):
+                for a in range(m):
+                    z = list(map(blk.__getitem__, rows[x * m + a]))
+                    zt = list(zip(*z))
+                    if z != zt:
+                        yield z, zt, (x, None, None, None, a, b, c)
+
+
+def _paramedial(g: GammaGroupoid) -> Iterator[_Block]:
+    """Per (b, c): G[u][l*n + w] = u b (l c w).  Per x: P[u][y] =
+    u b (y c x), the x-th column of G[u] read as n-by-n.  Per (x, a):
+    the left side G[x a y] over y must equal P[w a l] over (l, w),
+    transposed to put y first.  P is built one x at a time, which keeps
+    the transpose at n^3 entries."""
+    n, m, t = g.n, g.m, g.table
+    nm = n * m
+    rows = _grouped(t, n)
+    # wal[a][l*n + w] = w a l
+    wal = [tuple(chain.from_iterable(t[a * n + l::nm] for l in range(n))) for a in range(m)]
+    for b in range(m):
+        for c in range(m):
+            lhs = list(map(tuple, _composed(rows, m, b, c)))
+            for x in range(n):
+                px = [v[x::n] for v in lhs]
+                for a in range(m):
+                    z = list(map(lhs.__getitem__, rows[x * m + a]))
+                    rhs = list(zip(*map(px.__getitem__, wal[a])))
+                    if z != rhs:
+                        yield ([_grouped(v, n) for v in z], [_grouped(v, n) for v in rhs],
+                               (x, None, None, None, a, b, c))
+
+
+_KERNELS = {
+    "left-invertive": _left_invertive,
+    "medial": _medial,
+    "ag-star-star": _ag_star_star,
+    "paramedial": _paramedial,
+}
+
+
+def holds(g: GammaGroupoid, law: str) -> bool:
+    """Whether `law` ("left-invertive", "medial", "ag-star-star" or
+    "paramedial") holds on g; stops at the first failing block and
+    builds no witness."""
+    return next(_KERNELS[law](g), None) is None
+
+
+def _witness(p: Sequence, q: Sequence, fixed: tuple[Optional[int], ...]) -> tuple[int, ...]:
+    path = []
+    while type(p) is not int:
+        i = next(i for i, (u, v) in enumerate(zip(p, q)) if u != v)
+        path.append(i)
+        p, q = p[i], q[i]
+    steps = iter(path)
+    return tuple(next(steps) if v is None else v for v in fixed)
+
+
+def _decide(g: GammaGroupoid, law: str) -> LawCheck:
+    """The law with its least witness: the minimum over every failing
+    block of that block's least failing instantiation."""
+    least = min((_witness(*block) for block in _KERNELS[law](g)), default=None)
+    return LawCheck(law, least is None, least)
+
+
 def is_left_invertive(g: GammaGroupoid) -> LawCheck:
     """(x a y) b z == (z a y) b x for all x, y, z, a, b.
 
     Witness order on failure: (x, y, z, a, b).
     """
-    n, m, t = g.n, g.m, g.table
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                for a in range(m):
-                    xy = t[(x * m + a) * n + y]
-                    zy = t[(z * m + a) * n + y]
-                    for b in range(m):
-                        if t[(xy * m + b) * n + z] != t[(zy * m + b) * n + x]:
-                            return LawCheck("left-invertive", False, (x, y, z, a, b))
-    return LawCheck("left-invertive", True)
-
-
-def _four_variable_sweep(g: GammaGroupoid, law: str, swap: bool) -> LawCheck:
-    """The medial law, or with swap the paramedial one: they differ only
-    in the outer pair (p, q) of the right-hand side,
-    (x a y) b (l c w) == (p a l) b (y c q) with (p, q) = (x, w) or (w, x).
-    The witness is the least failing (x, y, l, w, a, b, c).
-
-    For each (x, y, l, a, b, c) both sides are compared as vectors over w,
-    each a composition of two table rows (or, for the paramedial
-    right-hand side, two table columns) built once per call.  w is the
-    only coordinate after (x, y, l) in the witness order, so the first
-    (x, y, l) with a mismatch is rescanned over (w, a, b, c) alone."""
-    n, m_, t = g.n, g.m, g.table
-    nm = n * m_
-    # rows[u*m + k][w] = u *_k w; lhs[(u*m + b)*nm + v*m + c][w] = u *_b (v *_c w)
-    rows = [t[i * n:i * n + n] for i in range(nm)]
-    lhs = [tuple(map(r.__getitem__, s)) for r in rows for s in rows]
-    if swap:
-        # cols[k*n + v][u] = u *_k v; rhs[(b*n + v)*nm + a*n + l][w] = (w *_a l) *_b v
-        cols = [t[i::nm] for i in range(nm)]
-        rhs = [tuple(map(r.__getitem__, s)) for r in cols for s in cols]
-        b_step = n * nm
-    else:
-        rhs, b_step = lhs, nm
-    for x in range(n):
-        for y in range(n):
-            # The right-hand side index is right + b*b_step + offs[c].
-            offs = [t[(y * m_ + c) * n + x] * nm for c in range(m_)] if swap else range(m_)
-            for l in range(n):
-                for a in range(m_):
-                    xa = (x * m_ + a) * n
-                    left = t[xa + y] * m_ * nm + l * m_
-                    right = a * n + l if swap else t[xa + l] * m_ * nm + y * m_
-                    for b in range(m_):
-                        for c, off in enumerate(offs):
-                            if lhs[left + c] != rhs[right + off]:
-                                return _least_witness(g, law, swap, x, y, l)
-                        left += nm
-                        right += b_step
-    return LawCheck(law, True)
-
-
-def _least_witness(g: GammaGroupoid, law: str, swap: bool, x: int, y: int, l: int) -> LawCheck:
-    """The least failing (w, a, b, c) under a fixed (x, y, l), by the plain loop."""
-    n, m_, t = g.n, g.m, g.table
-    for w in range(n):
-        p, q = (w, x) if swap else (x, w)
-        for a in range(m_):
-            xy = t[(x * m_ + a) * n + y]
-            pl = t[(p * m_ + a) * n + l]
-            for b in range(m_):
-                for c in range(m_):
-                    lw = t[(l * m_ + c) * n + w]
-                    yq = t[(y * m_ + c) * n + q]
-                    if t[(xy * m_ + b) * n + lw] != t[(pl * m_ + b) * n + yq]:
-                        return LawCheck(law, False, (x, y, l, w, a, b, c))
-    raise AssertionError("no violation under the mismatching (x, y, l)")
+    return _decide(g, "left-invertive")
 
 
 def is_medial(g: GammaGroupoid) -> LawCheck:
@@ -256,7 +322,7 @@ def is_medial(g: GammaGroupoid) -> LawCheck:
 
     Witness order on failure: (x, y, l, m, a, b, c).
     """
-    return _four_variable_sweep(g, "medial", swap=False)
+    return _decide(g, "medial")
 
 
 def is_ag_star_star(g: GammaGroupoid) -> LawCheck:
@@ -264,17 +330,7 @@ def is_ag_star_star(g: GammaGroupoid) -> LawCheck:
 
     Witness order on failure: (x, y, z, a, b).
     """
-    n, m, t = g.n, g.m, g.table
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                for a in range(m):
-                    for b in range(m):
-                        yz = t[(y * m + b) * n + z]
-                        xz = t[(x * m + b) * n + z]
-                        if t[(x * m + a) * n + yz] != t[(y * m + a) * n + xz]:
-                            return LawCheck("ag-star-star", False, (x, y, z, a, b))
-    return LawCheck("ag-star-star", True)
+    return _decide(g, "ag-star-star")
 
 
 def is_paramedial(g: GammaGroupoid) -> LawCheck:
@@ -282,7 +338,7 @@ def is_paramedial(g: GammaGroupoid) -> LawCheck:
 
     Witness order on failure: (x, y, l, m, a, b, c).
     """
-    return _four_variable_sweep(g, "paramedial", swap=True)
+    return _decide(g, "paramedial")
 
 
 def left_identities(g: GammaGroupoid) -> list[int]:
@@ -319,12 +375,12 @@ class AxiomProfile:
 
 
 def axiom_profile(g: GammaGroupoid) -> AxiomProfile:
-    """Sweep all four laws and collect left identities."""
+    """Decide all four laws and collect left identities."""
     return AxiomProfile(
-        left_invertive=bool(is_left_invertive(g)),
-        medial=bool(is_medial(g)),
-        ag_star_star=bool(is_ag_star_star(g)),
-        paramedial=bool(is_paramedial(g)),
+        left_invertive=holds(g, "left-invertive"),
+        medial=holds(g, "medial"),
+        ag_star_star=holds(g, "ag-star-star"),
+        paramedial=holds(g, "paramedial"),
         left_identities=tuple(left_identities(g)),
     )
 

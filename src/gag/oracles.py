@@ -16,16 +16,12 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .model import GammaGroupoid, all_models, is_ag_star_star, is_left_invertive
-from .search import _passes_filter, canonicalize
+from .model import GammaGroupoid, all_models, holds
+from .search import AXIOM_NAMES, _passes_filter, canonicalize
 
 
 def _passes_axioms(g: GammaGroupoid, axioms: frozenset) -> bool:
-    if "left-invertive" in axioms and not is_left_invertive(g):
-        return False
-    if "ag-star-star" in axioms and not is_ag_star_star(g):
-        return False
-    return True
+    return all(holds(g, law) for law in AXIOM_NAMES if law in axioms)
 
 
 def _interleave(singles: Sequence[Sequence[int]], n: int, m: int) -> tuple[int, ...]:

@@ -1,10 +1,12 @@
 """Text and JSON round trips plus parser diagnostics."""
 
 import json
+import re
 
 import pytest
 from conftest import models
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gag import (
     GammaGroupoid,
@@ -87,6 +89,9 @@ def test_parse_models_stream(m5):
             "line 5: unknown element name 'c'",
         ),
         ("gag v1\nelements: a b\ngammas: g0\n", "missing table for operator(s): g0"),
+        # '#a' would start a comment in every row it opens.
+        ("gag v1\nelements: #a b\ngammas: g0\n", "line 2: element name '#a'"),
+        ("gag v1\nelements: a b\ngammas: #g\n", "line 3: operator name '#g'"),
         (
             "gag v1\nelements: a b\ngammas: g0\ntable g0:\na a\na a\ntable g0:\na a\na a\n",
             "duplicate table for operator 'g0'",
@@ -114,3 +119,35 @@ def test_json_errors():
                 "tables": [[["b"]]],
             }
         )
+    # Labels the text format cannot carry: serialized, '#a' opens a
+    # comment and 'a b' reads back as two elements.
+    for elements, gammas, bad in (
+        (["#a", "b"], ["g0"], "#a"),
+        (["a b", "c"], ["g0"], "a b"),
+        (["", "b"], ["g0"], ""),
+        (["a", "b"], ["g\t0"], "g\t0"),
+    ):
+        obj = {"format": "gag", "version": 1, "elements": elements, "gammas": gammas,
+               "tables": [[[elements[1]] * 2] * 2]}
+        with pytest.raises(ModelFormatError, match=re.escape(f"name {bad!r}")):
+            model_from_json_obj(obj)
+
+
+@settings(max_examples=200)
+@given(
+    elements=st.lists(st.text(max_size=3), min_size=1, max_size=3),
+    gammas=st.lists(st.text(max_size=3), min_size=1, max_size=2),
+    data=st.data(),
+)
+def test_every_accepted_json_document_round_trips_as_text(elements, gammas, data):
+    n, m = len(elements), len(gammas)
+    tables = data.draw(st.lists(
+        st.lists(st.lists(st.sampled_from(elements), min_size=n, max_size=n), min_size=n, max_size=n),
+        min_size=m, max_size=m,
+    ))
+    obj = {"format": "gag", "version": 1, "elements": elements, "gammas": gammas, "tables": tables}
+    try:
+        g = model_from_json_obj(obj)
+    except ModelFormatError:
+        return
+    assert parse_model(serialize_model(g)) == g

@@ -10,9 +10,11 @@ from gag import (
     GammaGroupoid,
     IdealKind,
     LawCheck,
+    SearchSpec,
     TheoremId,
     all_models,
     axiom_profile,
+    enumerate_models,
     ideal_family,
     is_ag_star_star,
     is_left_invertive,
@@ -23,6 +25,7 @@ from gag import (
     run_suite,
     serialize_model,
 )
+from gag.model import holds
 
 # Left projection x*y = x breaks the left invertive law at n >= 2;
 # a constant table satisfies every law here.
@@ -126,7 +129,7 @@ def test_witness_is_least_violation(decide, n_elements, n_ops, law, g):
         assert chk.witness == min(bad)
 
 
-# --- reference route: the plain medial/paramedial sweep ----------------------
+# --- reference routes: the plain loops ---------------------------------------
 
 def _reference_four_variable_sweep(g, law, swap):
     # The medial law, or with swap the paramedial one, by the plain loop
@@ -149,12 +152,34 @@ def _reference_four_variable_sweep(g, law, swap):
     return LawCheck(law, True)
 
 
-def _four_variable_checks(g):
-    """[(decided, reference)] for the medial and the paramedial law."""
-    return [
-        (decide(g), _reference_four_variable_sweep(g, law, swap))
-        for decide, law, swap in ((is_medial, "medial", False), (is_paramedial, "paramedial", True))
-    ]
+LAWS = (
+    ("left-invertive", is_left_invertive),
+    ("medial", is_medial),
+    ("ag-star-star", is_ag_star_star),
+    ("paramedial", is_paramedial),
+)
+
+
+def _reference_witnesses(g):
+    """{law: least violation, or None where the law holds}, by the plain loops."""
+    return {
+        "left-invertive": min(_brute_left_invertive(g), default=None),
+        "medial": _reference_four_variable_sweep(g, "medial", False).witness,
+        "ag-star-star": min(_brute_violations(g, 3, 2, _ag_star_star), default=None),
+        "paramedial": _reference_four_variable_sweep(g, "paramedial", True).witness,
+    }
+
+
+def _check_against_references(g):
+    """Each decider, `holds` and `axiom_profile` agree with the reference
+    routes on g; returns the reference witnesses."""
+    refs = _reference_witnesses(g)
+    profile = axiom_profile(g).to_json_obj()
+    for law, decide in LAWS:
+        chk = decide(g)
+        assert (chk.law, chk.holds, chk.witness) == (law, refs[law] is None, refs[law]), g.table
+        assert holds(g, law) == profile[law] == chk.holds, (law, g.table)
+    return refs
 
 
 def _difference_table(n, m, shift, low=0):
@@ -170,29 +195,29 @@ def _difference_table(n, m, shift, low=0):
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3), (2, 3)])
 def test_four_variable_laws_match_reference_on_every_table(n, m):
+    # All four laws, despite the name.
     for g in all_models(n, m):
-        for chk, ref in _four_variable_checks(g):
-            assert (chk.holds, chk.witness) == (ref.holds, ref.witness), (chk.law, g.table)
+        _check_against_references(g)
 
 
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
 def test_four_variable_laws_match_reference_on_law_families(n, m):
-    # Random tables almost never satisfy either law, so these families
-    # reach the path where the law holds and the paths where it fails
-    # only late: one changed last cell makes l = w = n - 1 in the first
+    # All four laws, despite the name.  Random tables almost never
+    # satisfy any of them, so these families reach the path where the
+    # law holds and the paths where it fails only late: one changed last
+    # cell makes l = w = n - 1 in the first medial and paramedial
     # violation, and with the lower elements sent to 0 its x is n - 3.
     for shift, low in ((0, 0), (1, 0), (1, max(n - 3, 0))):
         flat = _difference_table(n, m, shift, low)
-        for chk, ref in _four_variable_checks(GammaGroupoid(n, m, tuple(flat))):
-            assert chk and ref
+        refs = _check_against_references(GammaGroupoid(n, m, tuple(flat)))
+        assert set(refs.values()) == {None}
         if n - low < 2:
             continue
         flat[-1] = low + (flat[-1] - low + 1) % (n - low)
-        for chk, ref in _four_variable_checks(GammaGroupoid(n, m, tuple(flat))):
-            assert not chk
-            assert chk.witness == ref.witness
-            assert chk.witness[0] == low
+        refs = _check_against_references(GammaGroupoid(n, m, tuple(flat)))
+        assert None not in refs.values()
+        assert refs["medial"][0] == refs["paramedial"][0] == low
 
 
 @settings(max_examples=150)
@@ -224,11 +249,31 @@ def test_paramedial_witness_violates_law(g):
         assert lhs != rhs
 
 
-@settings(max_examples=150)
-@given(models())
-def test_left_invertive_implies_medial(g):
-    if is_left_invertive(g):
-        assert is_medial(g)
+def _lemma_tables():
+    """Every table at (n <= 3, m = 1) and (n <= 2, m <= 3), then every ag
+    class at n <= 4 (m = 1) and n <= 3 (m = 2)."""
+    for n, m in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3), (2, 3)):
+        yield from all_models(n, m)
+    for n, m in ((1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (3, 2)):
+        yield from enumerate_models(SearchSpec(n=n, m=m)).models
+
+
+def test_left_invertive_implies_medial():
+    checked = 0
+    for g in _lemma_tables():
+        if holds(g, "left-invertive"):
+            assert holds(g, "medial"), g.table
+            checked += g.n >= 3
+    assert checked >= 331  # the ag classes at n = 4 alone
+
+
+def test_left_invertive_and_ag_star_star_imply_paramedial():
+    checked = 0
+    for g in _lemma_tables():
+        if holds(g, "left-invertive") and holds(g, "ag-star-star"):
+            assert holds(g, "paramedial"), g.table
+            checked += g.n >= 3
+    assert checked >= 101  # the agss classes at n = 4 alone
 
 
 @settings(max_examples=100)
