@@ -17,6 +17,10 @@ operator set.  Each operator then gets a `table <name>:` block followed
 by n rows of n whitespace-separated element names; row x column y holds
 x *_k y.  Lines starting with `#` and blank lines are ignored.
 
+A stream holds documents back to back.  A block's rows are taken by
+count, so a document ends after its last block, at the next `gag v1`
+line or at the end of the stream.  Line numbers count through the stream.
+
 `serialize_model` emits the canonical form above (single spaces, blocks
 in operator order, trailing newline) so equal models serialize to
 byte-identical documents.
@@ -31,9 +35,9 @@ with tables[k][x][y] an element name.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any
 
-from .model import GammaGroupoid
+from .model import GammaGroupoid, check_labels
 
 MAGIC = "gag v1"
 
@@ -46,62 +50,51 @@ class ModelFormatError(ValueError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-def _meaningful_lines(text: str) -> Iterator[tuple[int, str]]:
-    for idx, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield idx, line
+def _meaningful_lines(text: str) -> list[tuple[int, str]]:
+    lines = enumerate(map(str.strip, text.splitlines()), start=1)
+    return [(idx, line) for idx, line in lines if line and not line.startswith("#")]
 
 
-def _check_names(names: list[str], what: str, lineno: int) -> None:
-    """Refuse what the text format cannot carry: an empty list, a
-    repeated name, and a name that is empty, holds whitespace (the
-    separator) or starts with '#' (a comment)."""
-    if not names:
-        raise ModelFormatError(f"empty {what} list", lineno)
-    seen = set()
-    for nm in names:
-        if nm.split() != [nm] or nm.startswith("#"):
-            raise ModelFormatError(
-                f"{what} name {nm!r} is empty, holds whitespace or starts with '#'", lineno
-            )
-        if nm in seen:
-            raise ModelFormatError(f"duplicate {what} name {nm!r}", lineno)
-        seen.add(nm)
+def _labels(names: Any, what: str, lineno: int) -> tuple[str, ...]:
+    try:
+        return check_labels(names, what)
+    except ValueError as e:
+        raise ModelFormatError(str(e), lineno) from None
 
 
-def parse_model(text: str) -> GammaGroupoid:
-    """Parse one text document; raises ModelFormatError with line position."""
-    lines = list(_meaningful_lines(text))
-    if not lines:
-        raise ModelFormatError("empty document")
-    pos = 0
+def _build(elements: tuple[str, ...], gammas: tuple[str, ...], tables: list) -> GammaGroupoid:
+    """The model whose tables[k][x] is (line, row) with row[y] naming
+    x *_k y; line is 0 outside a text document."""
+    index = {nm: i for i, nm in enumerate(elements)}
+    try:
+        rows = [[[index[nm] for nm in row] for _, row in t] for t in tables]
+    except (KeyError, TypeError):  # TypeError: an unhashable JSON entry
+        k, lineno, nm = next(
+            (k, lineno, nm) for k, t in enumerate(tables) for lineno, row in t for nm in row
+            if nm not in elements
+        )
+        message = f"unknown element name {nm!r} in table {gammas[k]!r}"
+        raise ModelFormatError(message, lineno) from None
+    return GammaGroupoid.from_tables(rows, elements, gammas)
 
+
+def _document(lines: list[tuple[int, str]], pos: int) -> tuple[GammaGroupoid, int]:
+    """The model whose document starts at lines[pos], and the position
+    after it: the end of the stream or the next header."""
     lineno, line = lines[pos]
     if line != MAGIC:
         raise ModelFormatError(f"expected {MAGIC!r} header, got {line!r}", lineno)
+    heads = []
+    for key, what in (("elements:", "element"), ("gammas:", "operator")):
+        pos += 1
+        if pos >= len(lines) or not lines[pos][1].startswith(key):
+            raise ModelFormatError(f"expected {key!r} line", lines[min(pos, len(lines) - 1)][0])
+        heads.append(_labels(lines[pos][1][len(key):].split(), what, lines[pos][0]))
+    elements, gammas = heads
     pos += 1
-
-    if pos >= len(lines) or not lines[pos][1].startswith("elements:"):
-        raise ModelFormatError("expected 'elements:' line", lines[pos][0] if pos < len(lines) else lineno)
-    lineno, line = lines[pos]
-    elements = line[len("elements:"):].split()
-    _check_names(elements, "element", lineno)
-    pos += 1
-
-    if pos >= len(lines) or not lines[pos][1].startswith("gammas:"):
-        raise ModelFormatError("expected 'gammas:' line", lines[pos][0] if pos < len(lines) else lineno)
-    lineno, line = lines[pos]
-    gammas = line[len("gammas:"):].split()
-    _check_names(gammas, "operator", lineno)
-    pos += 1
-
-    n, m = len(elements), len(gammas)
-    eindex = {nm: i for i, nm in enumerate(elements)}
-    tables: dict[int, list[list[int]]] = {}
-
-    while pos < len(lines):
+    n = len(elements)
+    tables: dict[int, list[tuple[int, list[str]]]] = {}
+    while pos < len(lines) and lines[pos][1] != MAGIC:
         lineno, line = lines[pos]
         if not (line.startswith("table ") and line.endswith(":")):
             raise ModelFormatError(f"expected 'table <name>:' line, got {line!r}", lineno)
@@ -111,31 +104,42 @@ def parse_model(text: str) -> GammaGroupoid:
         k = gammas.index(gname)
         if k in tables:
             raise ModelFormatError(f"duplicate table for operator {gname!r}", lineno)
-        pos += 1
-        rows = []
-        for r in range(n):
-            if pos >= len(lines):
-                raise ModelFormatError(f"table {gname!r}: expected {n} rows, got {r}", lineno)
-            lineno, line = lines[pos]
-            names = line.split()
+        rows = [(lineno, line.split()) for lineno, line in lines[pos + 1:pos + 1 + n]]
+        if len(rows) < n:
+            message = f"table {gname!r}: expected {n} rows, got {len(rows)}"
+            raise ModelFormatError(message, lines[-1][0])
+        for r, (lineno, names) in enumerate(rows):
             if len(names) != n:
                 raise ModelFormatError(
                     f"table {gname!r} row {r}: expected {n} entries, got {len(names)}", lineno
                 )
-            row = []
-            for nm in names:
-                if nm not in eindex:
-                    raise ModelFormatError(f"unknown element name {nm!r}", lineno)
-                row.append(eindex[nm])
-            rows.append(row)
-            pos += 1
         tables[k] = rows
+        pos += 1 + n
 
-    missing = [gammas[k] for k in range(m) if k not in tables]
+    missing = [name for k, name in enumerate(gammas) if k not in tables]
     if missing:
         raise ModelFormatError(f"missing table for operator(s): {', '.join(missing)}")
+    return _build(elements, gammas, [tables[k] for k in range(len(gammas))]), pos
 
-    return GammaGroupoid.from_tables([tables[k] for k in range(m)], elements, gammas)
+
+def parse_model(text: str) -> GammaGroupoid:
+    """Parse one text document; raises ModelFormatError with line position."""
+    lines = _meaningful_lines(text)
+    if not lines:
+        raise ModelFormatError("empty document")
+    g, pos = _document(lines, 0)
+    if pos < len(lines):
+        raise ModelFormatError(f"a second {MAGIC!r} header: expected one document", lines[pos][0])
+    return g
+
+
+def parse_models(text: str) -> list[GammaGroupoid]:
+    """Parse a stream of text documents, back to back."""
+    lines, out, pos = _meaningful_lines(text), [], 0
+    while pos < len(lines):
+        g, pos = _document(lines, pos)
+        out.append(g)
+    return out
 
 
 def serialize_model(g: GammaGroupoid) -> str:
@@ -168,39 +172,16 @@ def model_from_json_obj(obj: Any) -> GammaGroupoid:
     for key in ("elements", "gammas", "tables"):
         if key not in obj:
             raise ModelFormatError(f"missing {key!r}")
-    elements = [str(x) for x in obj["elements"]]
-    gammas = [str(x) for x in obj["gammas"]]
-    _check_names(elements, "element", 0)
-    _check_names(gammas, "operator", 0)
-    n, m = len(elements), len(gammas)
-    eindex = {nm: i for i, nm in enumerate(elements)}
-    raw = obj["tables"]
-    if len(raw) != m:
-        raise ModelFormatError(f"expected {m} tables, got {len(raw)}")
-    tables = []
-    for k, t in enumerate(raw):
-        if len(t) != n or any(len(row) != n for row in t):
-            raise ModelFormatError(f"table {gammas[k]!r} is not {n}x{n}")
-        tab = []
-        for row in t:
-            out_row = []
-            for nm in row:
-                if nm not in eindex:
-                    raise ModelFormatError(f"unknown element name {nm!r} in table {gammas[k]!r}")
-                out_row.append(eindex[nm])
-            tab.append(out_row)
-        tables.append(tab)
-    return GammaGroupoid.from_tables(tables, tuple(elements), tuple(gammas))
-
-
-def parse_models(text: str) -> list[GammaGroupoid]:
-    """Parse a stream of text documents separated by `gag v1` headers."""
-    chunks: list[list[str]] = []
-    for raw in text.splitlines():
-        if raw.strip() == MAGIC:
-            chunks.append([raw])
-        elif chunks:
-            chunks[-1].append(raw)
-        elif raw.strip() and not raw.strip().startswith("#"):
-            raise ModelFormatError(f"expected {MAGIC!r} header, got {raw.strip()!r}", 1)
-    return [parse_model("\n".join(c)) for c in chunks]
+        if type(obj[key]) is not list:
+            raise ModelFormatError(f"{key!r} must be a list")
+    elements = _labels(obj["elements"], "element", 0)
+    gammas = _labels(obj["gammas"], "operator", 0)
+    n, tables = len(elements), obj["tables"]
+    if len(tables) != len(gammas):
+        raise ModelFormatError(f"expected {len(gammas)} tables, got {len(tables)}")
+    for name, t in zip(gammas, tables):
+        if type(t) is not list or len(t) != n or any(
+            type(r) is not list or len(r) != n for r in t
+        ):
+            raise ModelFormatError(f"table {name!r} is not a list of {n} lists of {n} names")
+    return _build(elements, gammas, [[(0, row) for row in t] for t in tables])

@@ -49,6 +49,26 @@ def _default_gamma_labels(m: int) -> tuple[str, ...]:
     return tuple(f"g{k}" for k in range(m))
 
 
+def check_labels(labels: Sequence[str], what: str) -> tuple[str, ...]:
+    """`labels` as a tuple if the text format can carry them, else
+    ValueError: a sequence, not a str, of distinct non-empty strs with no
+    whitespace (the separator) that do not start with '#' (a comment)."""
+    if isinstance(labels, str):
+        raise ValueError(f"{what} labels must be a sequence of names, not a string")
+    labels = tuple(labels)
+    if not labels:
+        raise ValueError(f"empty {what} list")
+    for nm in labels:
+        if type(nm) is not str or nm.split() != [nm] or nm.startswith("#"):
+            raise ValueError(
+                f"{what} name {nm!r} is not a str, is empty, holds whitespace or starts with '#'"
+            )
+    if len(set(labels)) != len(labels):
+        dup = next(nm for nm in labels if labels.count(nm) > 1)
+        raise ValueError(f"duplicate {what} name {dup!r}")
+    return labels
+
+
 class ProductMasks(NamedTuple):
     """Bitmasks of the complexwise products of single elements.
 
@@ -66,7 +86,8 @@ class GammaGroupoid:
     """Immutable finite model: carrier size, operator count, flat table.
 
     The table is stored flat with entry (x *_k y) at index (x*m + k)*n + y.
-    Labels are presentation only; all computation is on indices.
+    Labels are presentation only; all computation is on indices.  Given
+    labels must pass `check_labels`, so that every model serializes.
     """
 
     n: int
@@ -99,13 +120,13 @@ class GammaGroupoid:
             ("element_labels", n, _default_element_labels, "element"),
             ("gamma_labels", m, _default_gamma_labels, "operator"),
         ):
-            labels = tuple(getattr(self, field))
-            if not labels:
+            labels = getattr(self, field)
+            if isinstance(labels, str) or len(labels):
+                labels = check_labels(labels, what)
+            else:
                 labels = default(size)
-            elif len(labels) != size:
+            if len(labels) != size:
                 raise ValueError(f"need one label per {what}")
-            elif len(set(labels)) != size:
-                raise ValueError(f"duplicate {what} label in {labels!r}")
             object.__setattr__(self, field, labels)
 
     @classmethod
@@ -120,14 +141,11 @@ class GammaGroupoid:
         if m == 0:
             raise ValueError("operator set must be non-empty")
         n = len(tables[0])
-        flat = []
         for k, t in enumerate(tables):
             if len(t) != n or any(len(row) != n for row in t):
                 raise ValueError(f"table {k} is not {n}x{n}")
-        for i in range(n):
-            for k in range(m):
-                flat.extend(tables[k][i])
-        return cls(n, m, tuple(flat), tuple(element_labels), tuple(gamma_labels))
+        flat = tuple(chain.from_iterable(t[i] for i in range(n) for t in tables))
+        return cls(n, m, flat, element_labels, gamma_labels)
 
     def product(self, x: int, k: int, y: int) -> int:
         """x *_k y.  Raises ValueError on out-of-range indices."""

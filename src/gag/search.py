@@ -110,10 +110,8 @@ class SearchSpec:
         if unknown:
             raise ValueError(f"unknown axioms: {sorted(unknown)}")
         object.__setattr__(self, "axioms", axioms)
-        filt = "non-intra-regular" if self.filter == "not-intra-regular" else self.filter
-        if filt not in FILTER_NAMES:
+        if self.filter not in FILTER_NAMES:
             raise ValueError(f"unknown filter {self.filter!r}")
-        object.__setattr__(self, "filter", filt)
         budget = self.time_budget
         if budget is not None and (isinstance(budget, bool) or not isinstance(budget, (int, float))):
             raise ValueError("time_budget (--time-budget) must be a number")

@@ -170,8 +170,12 @@ class _Ctx:
             return self.once(_fixed_family)
         return ideal_family(self.g, IdealKind(kind))
 
+    def family_set(self, kind) -> frozenset[Subset]:
+        """family(kind) as a set, built once per kind however it is named."""
+        return self.once(_family_set, _FAMILY_KEY[kind])
+
     def has(self, kind, a: Subset) -> bool:
-        return a in self.once(_family_set, kind)
+        return a in self.family_set(kind)
 
     def intra_holds(self) -> bool:
         return self.intra is not None and self.intra.holds
@@ -191,6 +195,10 @@ def _candidates(c: _Ctx) -> tuple[Subset, ...]:
 
 def _family_set(c: _Ctx, kind) -> frozenset[Subset]:
     return frozenset(c.family(kind))
+
+
+# the one memo key of each family, from an IdealKind or its value
+_FAMILY_KEY = {"fixed": "fixed", **{k: k for k in IdealKind}, **{k.value: k for k in IdealKind}}
 
 
 @lru_cache(maxsize=8)
@@ -409,7 +417,7 @@ _KIND_PAIRS = _Domain(
 
 
 def _family_mismatch(c: _Ctx, ka: str, kb: str):
-    differ = c.once(_family_set, ka) ^ c.once(_family_set, kb)
+    differ = c.family_set(ka) ^ c.family_set(kb)
     if not differ:
         return None
     a = min(differ, key=Subset.members)

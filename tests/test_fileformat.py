@@ -5,7 +5,7 @@ import re
 
 import pytest
 from conftest import models
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from gag import (
@@ -64,6 +64,56 @@ def test_parse_models_stream(m5):
     assert parse_models(text) == [m5, g2]
     assert parse_models("") == []
     assert parse_models("\n\n") == []
+
+
+def test_parse_models_reads_rows_by_count():
+    # Rows named like the header are rows, not the start of a document.
+    g = GammaGroupoid(2, 1, (0, 1, 1, 0), element_labels=("gag", "v1"))
+    h = GammaGroupoid(2, 1, (1, 1, 0, 0), element_labels=("v1", "gag"), gamma_labels=("gag",))
+    assert "\ngag v1\n" in serialize_model(g)
+    assert parse_models(serialize_model(g) + serialize_model(h)) == [g, h]
+    assert parse_model(serialize_model(g)) == g
+
+
+def test_stream_errors_count_lines_through_the_stream(m5):
+    with pytest.raises(ModelFormatError, match="^line 3: expected 'gag v1' header, got 'junk'"):
+        parse_models("\n\njunk\n")
+    # m5 takes lines 1-9, the blank line and comment lines 10-11; the
+    # second document's header is line 12 and its second row line 17.
+    second = "gag v1\nelements: a b\ngammas: g0\ntable g0:\na b\nb c\n"
+    text = serialize_model(m5) + "\n# next\n" + second
+    with pytest.raises(ModelFormatError, match="^line 17: unknown element name 'c'"):
+        parse_models(text)
+    # One document only: parse_model names the second header's line.
+    with pytest.raises(ModelFormatError, match="^line 12: a second 'gag v1' header"):
+        parse_model(text)
+
+
+@st.composite
+def labelled_models(draw):
+    """A model under labels drawn to probe the format: the format's own
+    words and short text, which may hold whitespace or start with '#';
+    only the models that GammaGroupoid accepts are kept."""
+    names = st.one_of(
+        st.sampled_from(["gag", "v1", "table", "elements:", "gammas:", "g0:", "a"]),
+        st.text(min_size=1, max_size=3),
+    )
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    flat = draw(st.lists(st.integers(0, n - 1), min_size=n * n * m, max_size=n * n * m))
+    elements = draw(st.lists(names, min_size=n, max_size=n, unique=True))
+    gammas = draw(st.lists(names, min_size=m, max_size=m, unique=True))
+    try:
+        return GammaGroupoid(n, m, tuple(flat), elements, gammas)
+    except ValueError:
+        reject()
+
+
+@settings(max_examples=200)
+@given(labelled_models(), labelled_models())
+def test_every_accepted_model_round_trips(g, h):
+    assert parse_model(serialize_model(g)) == g
+    assert model_from_json_obj(json.loads(json.dumps(model_to_json_obj(g)))) == g
+    assert parse_models(serialize_model(g) + serialize_model(h)) == [g, h]
 
 
 @pytest.mark.parametrize(
@@ -131,6 +181,29 @@ def test_json_errors():
                "tables": [[[elements[1]] * 2] * 2]}
         with pytest.raises(ModelFormatError, match=re.escape(f"name {bad!r}")):
             model_from_json_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tables", 5),
+        ("tables", [5]),
+        ("elements", None),
+        ("elements", "ab"),
+        ("tables", [["ab", "ba"]]),
+        ("tables", [[["a", ["b"]], ["b", "a"]]]),
+        ("elements", [1, 2]),
+    ],
+    ids=["tables-int", "table-int", "elements-null", "elements-string", "row-string",
+         "entry-list", "elements-ints"],
+)
+def test_json_shape_errors_are_format_errors(key, value):
+    # Each used to raise TypeError or read a string as a list of names.
+    obj = {"format": "gag", "version": 1, "elements": ["a", "b"], "gammas": ["g0"],
+           "tables": [[["a", "b"], ["b", "a"]]]}
+    assert model_from_json_obj(obj) == GammaGroupoid(2, 1, (0, 1, 1, 0))
+    with pytest.raises(ModelFormatError):
+        model_from_json_obj({**obj, key: value})
 
 
 @settings(max_examples=200)

@@ -485,9 +485,10 @@ def test_scan_refuses_oversized_carrier():
 
 
 def test_filter_alias_normalized():
-    spec = SearchSpec(n=2, m=1, filter="not-intra-regular")
-    assert spec.filter == "non-intra-regular"
-    obj = spec_to_json_obj(spec, "enumerate")
+    # One spelling per filter: the old alias "not-intra-regular" is refused.
+    with pytest.raises(ValueError, match="unknown filter 'not-intra-regular'"):
+        SearchSpec(n=2, m=1, filter="not-intra-regular")
+    obj = spec_to_json_obj(SearchSpec(n=2, m=1, filter="non-intra-regular"), "enumerate")
     assert obj["filter"] == "non-intra-regular"
     assert "workers" not in obj
 

@@ -161,6 +161,16 @@ def test_counterexamples_revalidate_after_json_round_trip():
         assert revalidate_counterexample(GAP3, rebuilt)
 
 
+def test_family_sets_built_once_per_kind(m5):
+    # The checks name a family by IdealKind or by its string value; both
+    # spellings share one set, so the paper example holds one per kind
+    # plus "fixed".
+    run_suite(m5)
+    ctx = theorems._ctx(m5)
+    keys = [args for fn, args in ctx._memo if fn is theorems._family_set]
+    assert len(keys) == len(set(keys)) == 9
+
+
 def test_run_check_selection(m5):
     r = run_check(m5, TheoremId.LI)
     assert r.theorem is TheoremId.LI and r.status == "pass"
