@@ -14,25 +14,19 @@ from .fileformat import (
 from .fixtures import paper_example, paper_example_text
 from .ideals import (
     IdealKind,
-    NotAnIdealError,
     generated_ideal,
     ideal_family,
     is_bi_ideal,
     is_elementwise_semiprime,
     is_generalized_bi_ideal,
-    is_idempotent_subset,
     is_interior_ideal,
     is_left_ideal,
     is_one_two_ideal,
-    is_prime,
     is_quasi_ideal,
     is_right_ideal,
-    is_semiprime,
-    is_strongly_irreducible,
     is_subgroupoid,
     is_two_sided_ideal,
     kind_predicate,
-    two_sided_ideals,
 )
 from .model import (
     AxiomProfile,
@@ -70,7 +64,6 @@ from .subsets import (
     EmptySubsetError,
     Subset,
     all_nonempty_subsets,
-    square,
     subset_product,
 )
 from .theorems import (

@@ -69,16 +69,26 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EX_USAGE)
 
 
+def _read_utf8(fh, name: str) -> str:
+    # a stream decoding with surrogateescape (stdin under the C locale)
+    # turns bad bytes into lone surrogates instead of raising
+    try:
+        text = fh.read()
+        text.encode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ModelFormatError(f"{name}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    except UnicodeEncodeError as e:
+        raise ModelFormatError(f"{name}: not UTF-8 text (undecodable byte at character {e.start})") from None
+    return text
+
+
 def _load_model(ref: str) -> GammaGroupoid:
     if ref == PAPER_EXAMPLE_TOKEN:
         return parse_model(paper_example_text())
     if ref == "-":
-        return parse_model(sys.stdin.read())
-    try:
-        with open(ref, "r", encoding="utf-8") as fh:
-            return parse_model(fh.read())
-    except UnicodeDecodeError as e:
-        raise ModelFormatError(f"{ref}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+        return parse_model(_read_utf8(sys.stdin, "<stdin>"))
+    with open(ref, "r", encoding="utf-8") as fh:
+        return parse_model(_read_utf8(fh, ref))
 
 
 def _emit_json(obj) -> None:
@@ -159,15 +169,17 @@ def _parse_seed(g: GammaGroupoid, spec: str) -> Subset:
 
 def _dot_containment(g: GammaGroupoid, fam) -> str:
     # Hasse diagram: edge A -> B when A < B with nothing strictly between
+    def node(a: Subset) -> str:
+        text = a.format(g.element_labels).replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{text}"'
+
     lines = ["digraph ideals {", "  rankdir=BT;"]
     for a in fam:
-        lines.append(f'  "{a.format(g.element_labels)}";')
+        lines.append(f"  {node(a)};")
     for a in fam:
         for b in fam:
             if a < b and not any(a < c < b for c in fam):
-                lines.append(
-                    f'  "{a.format(g.element_labels)}" -> "{b.format(g.element_labels)}";'
-                )
+                lines.append(f"  {node(a)} -> {node(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -15,13 +15,6 @@ Conventions:
   interior ideal    subgroupoid and (S*A)*S <= A
   quasi-ideal       (S*A) & (A*S) <= A (no subgroupoid requirement)
   (1,2)-ideal       subgroupoid and (A*S)*(A*A) <= A
-
-Prime, semiprime and strongly irreducible are properties OF two-sided
-ideals, quantified over the model's two-sided ideals; they re-verify
-their precondition and raise NotAnIdealError when handed anything else.
-Each quantifier is swept once, by an `*_offender` search that returns
-the first violation and skips the precondition checks; the theorem
-suite calls those searches on subsets it drew from the right families.
 """
 
 from __future__ import annotations
@@ -40,10 +33,6 @@ from .subsets import (
     _check_model_subset,
     _closure,
 )
-
-
-class NotAnIdealError(ValueError):
-    """A prime/semiprime/irreducibility check got a non-ideal subset."""
 
 
 class IdealKind(enum.Enum):
@@ -111,12 +100,6 @@ def is_one_two_ideal(g: GammaGroupoid, a: Subset) -> bool:
     return lhs <= a
 
 
-def is_idempotent_subset(g: GammaGroupoid, a: Subset) -> bool:
-    """A*A == A (equality, not inclusion)."""
-    _validated(g, a)
-    return subset_product(g, a, a) == a
-
-
 _PREDICATES: dict[IdealKind, Callable[[GammaGroupoid, Subset], bool]] = {
     IdealKind.SUBGROUPOID: is_subgroupoid,
     IdealKind.LEFT: is_left_ideal,
@@ -164,18 +147,8 @@ def generated_ideal(g: GammaGroupoid, kind: IdealKind, seed: Subset) -> Subset:
     return Subset(g.n, _closure(g, _CLOSURE_MAPS[kind])(seed.mask))
 
 
-def two_sided_ideals(g: GammaGroupoid) -> tuple[Subset, ...]:
-    return ideal_family(g, IdealKind.TWO_SIDED)
-
-
-def _require_two_sided(g: GammaGroupoid, p: Subset) -> None:
-    _validated(g, p)
-    if not is_two_sided_ideal(g, p):
-        raise NotAnIdealError("expected a two-sided ideal")
-
-
 def _ideal_pair_offender(g: GammaGroupoid, p: Subset, meet: Callable[[Subset, Subset], Subset]):
-    fam = two_sided_ideals(g)
+    fam = ideal_family(g, IdealKind.TWO_SIDED)
     for a in fam:
         for b in fam:
             if meet(a, b) <= p and not (a <= p or b <= p):
@@ -196,7 +169,7 @@ def irreducible_offender(g: GammaGroupoid, p: Subset) -> Optional[tuple[Subset, 
 def semiprime_offender(g: GammaGroupoid, p: Subset) -> Optional[Subset]:
     """First two-sided ideal A with A*A <= P but A not inside P; P may
     be any subset."""
-    for a in two_sided_ideals(g):
+    for a in ideal_family(g, IdealKind.TWO_SIDED):
         if subset_product(g, a, a) <= p and not (a <= p):
             return a
     return None
@@ -209,24 +182,6 @@ def elementwise_offender(g: GammaGroupoid, p: Subset) -> Optional[int]:
         if subset_product(g, sx, sx) <= p and x not in p:
             return x
     return None
-
-
-def is_prime(g: GammaGroupoid, p: Subset) -> bool:
-    """For all two-sided ideals A, B: A*B <= P implies A <= P or B <= P."""
-    _require_two_sided(g, p)
-    return prime_offender(g, p) is None
-
-
-def is_semiprime(g: GammaGroupoid, p: Subset) -> bool:
-    """For all two-sided ideals A: A*A <= P implies A <= P."""
-    _require_two_sided(g, p)
-    return semiprime_offender(g, p) is None
-
-
-def is_strongly_irreducible(g: GammaGroupoid, p: Subset) -> bool:
-    """For all two-sided ideals A, B: A & B <= P implies A <= P or B <= P."""
-    _require_two_sided(g, p)
-    return irreducible_offender(g, p) is None
 
 
 def is_elementwise_semiprime(g: GammaGroupoid, p: Subset) -> bool:

@@ -66,10 +66,6 @@ class Subset:
         return cls(n, mask)
 
     @classmethod
-    def empty(cls, n: int) -> "Subset":
-        return cls(n, 0)
-
-    @classmethod
     def full(cls, n: int) -> "Subset":
         return cls(n, (1 << n) - 1)
 
@@ -93,6 +89,8 @@ class Subset:
         return 0 <= x < self.n and bool(self.mask >> x & 1)
 
     def _check(self, other: "Subset") -> None:
+        if not isinstance(other, Subset):
+            raise TypeError(f"expected a Subset, got {type(other).__name__}")
         if self.n != other.n:
             raise CarrierMismatchError(f"carrier sizes differ: {self.n} vs {other.n}")
 
@@ -110,15 +108,6 @@ class Subset:
 
     def __lt__(self, other: "Subset") -> bool:
         return self <= other and self.mask != other.mask
-
-    def __ge__(self, other: "Subset") -> bool:
-        return other <= self
-
-    def __gt__(self, other: "Subset") -> bool:
-        return other < self
-
-    def issubset(self, other: "Subset") -> bool:
-        return self <= other
 
     def format(self, labels: tuple[str, ...] | None = None) -> str:
         if labels is None:
@@ -156,11 +145,6 @@ def subset_product(g: GammaGroupoid, a: Subset, b: Subset) -> Subset:
     _check_model_subset(g, a)
     _check_model_subset(g, b)
     return Subset(g.n, _mask_product(g, a.mask, b.mask))
-
-
-def square(g: GammaGroupoid, a: Subset) -> Subset:
-    """A*A."""
-    return subset_product(g, a, a)
 
 
 # F(p, s, A) on masks: p is the model's mask product, s the carrier's mask

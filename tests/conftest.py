@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from gag import GammaGroupoid, Subset, subset_product
+from gag import GammaGroupoid, Subset, is_two_sided_ideal, subset_product
 from gag.fixtures import paper_example
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -28,6 +28,60 @@ def intra_oracle(g: GammaGroupoid, a: int) -> bool:
     sa = Subset.singleton(g.n, a)
     aa = subset_product(g, sa, sa)
     return a in subset_product(g, subset_product(g, s, aa), s)
+
+
+def brute_product(g: GammaGroupoid, a: Subset, b: Subset) -> Subset:
+    """A*B cell by cell from the table: every x *_k y, x in A, y in B."""
+    return Subset.from_members(
+        g.n, {g.product(x, k, y) for x in a for k in range(g.m) for y in b}
+    )
+
+
+# Definition sweeps for the properties of two-sided ideals.  Each returns
+# the least witness that P lacks the property, or None, in the order the
+# `gag.ideals` offender searches promise: ideals by sorted member tuple,
+# pairs (A, B) with A the outer loop.
+
+
+def two_sided_ideals_by_filter(g: GammaGroupoid) -> list[Subset]:
+    """The non-empty subsets, by sorted member tuple, that pass
+    `is_two_sided_ideal`: the powerset filter, not the closure listing."""
+    powerset = sorted((Subset(g.n, mask) for mask in range(1, 1 << g.n)), key=Subset.members)
+    return [a for a in powerset if is_two_sided_ideal(g, a)]
+
+
+def prime_oracle(g: GammaGroupoid, p: Subset, ideals: list[Subset]):
+    """Least ideals A, B with A*B <= P, A not <= P and B not <= P."""
+    for a in ideals:
+        for b in ideals:
+            if brute_product(g, a, b) <= p and not a <= p and not b <= p:
+                return a, b
+    return None
+
+
+def irreducible_oracle(g: GammaGroupoid, p: Subset, ideals: list[Subset]):
+    """Least ideals A, B with A & B <= P, A not <= P and B not <= P."""
+    for a in ideals:
+        for b in ideals:
+            if (a & b) <= p and not a <= p and not b <= p:
+                return a, b
+    return None
+
+
+def semiprime_oracle(g: GammaGroupoid, p: Subset, ideals: list[Subset]):
+    """Least ideal A with A*A <= P and A not <= P."""
+    for a in ideals:
+        if brute_product(g, a, a) <= p and not a <= p:
+            return a
+    return None
+
+
+def elementwise_oracle(g: GammaGroupoid, p: Subset):
+    """Least element a with a *_k a in P for every k, and a not in P."""
+    for a in range(g.n):
+        if all(g.product(a, k, a) in p for k in range(g.m)) and a not in p:
+            return a
+    return None
 
 
 @pytest.fixture(scope="session")

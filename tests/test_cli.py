@@ -2,7 +2,12 @@
 
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from conftest import load_data
@@ -130,9 +135,27 @@ def test_ideals_generated(capsys):
 def test_ideals_dot(capsys):
     code, out, _ = run(capsys, "ideals", M5, "--kind", "two-sided", "--dot")
     assert code == 0
-    assert out.startswith("digraph")
-    assert "rankdir=BT" in out
-    assert '"{a}" -> "{a, b, c, d, e}"' in out
+    assert out == (
+        "digraph ideals {\n"
+        "  rankdir=BT;\n"
+        '  "{a}";\n'
+        '  "{a, b, c, d, e}";\n'
+        '  "{a}" -> "{a, b, c, d, e}";\n'
+        "}\n"
+    )
+
+
+def test_ideals_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
+    path = tmp_path / "m.gag"
+    path.write_text('gag v1\nelements: a" b\\\ngammas: g\ntable g:\na" a"\na" b\\\n')
+    code, out, _ = run(capsys, "ideals", str(path), "--kind", "subgroupoid", "--dot")
+    assert code == 0
+    body = out.splitlines()[2:-1]
+    assert body[0] == '  "{a\\"}";'
+    for line in body:
+        # every node ID is one well-formed DOT quoted string
+        rest = re.sub(r'"(?:[^"\\]|\\.)*"', "ID", line)
+        assert rest in ("  ID;", "  ID -> ID;"), line
 
 
 def test_ideals_json(capsys):
@@ -528,6 +551,25 @@ class TestDataErrors:
         assert "not UTF-8" in err and str(path) in err
         assert "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("handler", ["strict", "surrogateescape"])
+    def test_non_utf8_stdin(self, handler):
+        # strict raises while reading; surrogateescape, the C locale's
+        # stdin handler, reads the bad byte as a lone surrogate
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONIOENCODING": f"utf-8:{handler}"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gag.cli", "verify", "-"],
+            input=b"gag v1\nelements: \xff\n",
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 65
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("gag: error: <stdin>: not UTF-8")
+        assert proc.stdout == b""
 
     def test_search_too_large(self, capsys):
         code, _, err = run(capsys, "search", "--order", "7")

@@ -1,34 +1,37 @@
 """Ideal-kind predicates, families, and the prime/semiprime layer."""
 
 import pytest
-from conftest import models
+from conftest import (
+    elementwise_oracle,
+    irreducible_oracle,
+    models,
+    prime_oracle,
+    semiprime_oracle,
+    two_sided_ideals_by_filter,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gag import (
     IdealKind,
-    NotAnIdealError,
     Subset,
+    all_models,
     all_nonempty_subsets,
     ideal_family,
+    ideals,
     kind_predicate,
     subset_product,
     theorems,
-    two_sided_ideals,
 )
 from gag.ideals import (
     is_bi_ideal,
     is_elementwise_semiprime,
     is_generalized_bi_ideal,
-    is_idempotent_subset,
     is_interior_ideal,
     is_left_ideal,
     is_one_two_ideal,
-    is_prime,
     is_quasi_ideal,
     is_right_ideal,
-    is_semiprime,
-    is_strongly_irreducible,
     is_subgroupoid,
     is_two_sided_ideal,
 )
@@ -61,7 +64,7 @@ def test_m5_proper_ideal_families_coincide(m5):
 
 
 def test_m5_idempotent_subsets_are_the_subgroupoids(m5):
-    idem = [a for a in all_nonempty_subsets(m5) if is_idempotent_subset(m5, a)]
+    idem = [a for a in all_nonempty_subsets(m5) if subset_product(m5, a, a) == a]
     assert idem == list(ideal_family(m5, IdealKind.SUBGROUPOID))
 
 
@@ -76,19 +79,33 @@ def test_m5_named_counterexample_subsets(m5):
 
 
 def test_m5_prime_layer(m5):
-    for p in two_sided_ideals(m5):
-        assert is_prime(m5, p)
-        assert is_semiprime(m5, p)
-        assert is_strongly_irreducible(m5, p)
+    fam = two_sided_ideals_by_filter(m5)
+    assert fam == list(ideal_family(m5, IdealKind.TWO_SIDED))
+    for p in fam:
+        assert prime_oracle(m5, p, fam) is None
+        assert semiprime_oracle(m5, p, fam) is None
+        assert irreducible_oracle(m5, p, fam) is None
         assert is_elementwise_semiprime(m5, p)
 
 
-def test_prime_layer_requires_two_sided_ideal(m5):
-    not_ideal = Subset.singleton(5, 1)
-    assert not is_two_sided_ideal(m5, not_ideal)
-    for pred in (is_prime, is_semiprime, is_strongly_irreducible):
-        with pytest.raises(NotAnIdealError):
-            pred(m5, not_ideal)
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)])
+def test_offenders_match_definition_sweeps_on_every_table(n, m):
+    # Each `*_offender` search against its definition sweep over the
+    # powerset-filtered two-sided ideals: the pair searches at every
+    # two-sided ideal P, the other two at every non-empty P, since the
+    # theorem suite also hands them right ideals.
+    checked = 0
+    for g in all_models(n, m):
+        fam = two_sided_ideals_by_filter(g)
+        for p in fam:
+            assert ideals.prime_offender(g, p) == prime_oracle(g, p, fam)
+            assert ideals.irreducible_offender(g, p) == irreducible_oracle(g, p, fam)
+            checked += 1
+        for mask in range(1, 1 << n):
+            p = Subset(n, mask)
+            assert ideals.semiprime_offender(g, p) == semiprime_oracle(g, p, fam)
+            assert ideals.elementwise_offender(g, p) == elementwise_oracle(g, p)
+    assert checked >= n ** (n * n * m)  # the carrier is an ideal of every table
 
 
 @settings(max_examples=150, deadline=None)
@@ -113,12 +130,15 @@ def test_kind_implications(g, data):
 @settings(max_examples=60, deadline=None)
 @given(models(max_n=3, max_m=2))
 def test_prime_implies_semiprime(g):
-    for p in two_sided_ideals(g):
-        if is_prime(g, p):
-            assert is_semiprime(g, p)
-        if is_strongly_irreducible(g, p) and is_semiprime(g, p):
+    fam = two_sided_ideals_by_filter(g)
+    for p in fam:
+        prime = prime_oracle(g, p, fam) is None
+        semiprime = semiprime_oracle(g, p, fam) is None
+        if prime:
+            assert semiprime
+        if irreducible_oracle(g, p, fam) is None and semiprime:
             # Strongly irreducible semiprime ideals are prime in any model.
-            assert is_prime(g, p)
+            assert prime
 
 
 def _sbs_inside(g, a):
