@@ -29,7 +29,6 @@ def main() -> int:
         default="any",
         help="'all' prints every filter column",
     )
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument(
         "--cross-check",
         action="store_true",
@@ -46,13 +45,7 @@ def main() -> int:
                 for filt in filters:
                     t0 = time.time()
                     res = enumerate_models(
-                        SearchSpec(
-                            n=n,
-                            m=m,
-                            axioms=AXIOM_SETS[ax_name],
-                            filter=filt,
-                            workers=args.workers,
-                        )
+                        SearchSpec(n=n, m=m, axioms=AXIOM_SETS[ax_name], filter=filt)
                     )
                     elapsed = time.time() - t0
                     print(

@@ -36,7 +36,6 @@ def main() -> int:
         type=_theorem_id,
         help="check to hunt; repeatable (default: the converse-capable set)",
     )
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--show-models", action="store_true", help="print each witness model")
     args = ap.parse_args()
     hunted = args.theorem or [TheoremId.from_name(n) for n in HUNTED]
@@ -46,9 +45,7 @@ def main() -> int:
     for n in range(1, args.max_order + 1):
         for m in range(1, args.max_gammas + 1):
             t0 = time.time()
-            space = enumerate_models(
-                SearchSpec(n=n, m=m, axioms=AXIOM_SETS["agss"], workers=args.workers)
-            )
+            space = enumerate_models(SearchSpec(n=n, m=m, axioms=AXIOM_SETS["agss"]))
             hits = [h for h in find_counterexamples(space, hunted).values() if h.found]
             print(
                 f"n={n} m={m}: {space.count} classes, {len(hits)} checks fail"

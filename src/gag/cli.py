@@ -157,13 +157,15 @@ def _coinciding_groups(families: dict[IdealKind, tuple]) -> list[list[str]]:
     return [grp for grp in by_ext.values() if len(grp) > 1]
 
 
-def _parse_seed(g: GammaGroupoid, spec: str) -> Subset:
+def _parse_seed(g: GammaGroupoid, values: Sequence[str]) -> Subset:
+    # a value that is a label names that element, so labels may hold commas
     members = []
-    for name in spec.split(","):
-        name = name.strip()
-        if name not in g.element_labels:
-            raise ModelFormatError(f"unknown element {name!r} in --generated-from")
-        members.append(g.element_labels.index(name))
+    for value in values:
+        for name in [value] if value in g.element_labels else value.split(","):
+            name = name.strip()
+            if name not in g.element_labels:
+                raise ModelFormatError(f"unknown element {name!r} in --generated-from")
+            members.append(g.element_labels.index(name))
     return Subset.from_members(g.n, members)
 
 
@@ -290,10 +292,11 @@ def cmd_search(args) -> int:
             filter=args.filter,
             max_models=args.limit,
             time_budget=args.time_budget,
-            workers=args.workers,
         )
     except ValueError as e:
         raise UsageError(str(e)) from e
+    if args.workers < 1:
+        raise UsageError("workers (--workers) must be at least 1")
     theorem = args.find_counterexample
     if theorem is not None:
         result = find_counterexample(spec, theorem)
@@ -399,8 +402,9 @@ def build_parser() -> _Parser:
     )
     p.add_argument(
         "--generated-from",
+        action="append",
         metavar="ELEMS",
-        help="closure of the comma-separated seed instead of a family listing (example: --kind left --generated-from b)",
+        help="closure of the seed instead of a family listing; repeatable, and a value that is not an element label is split at commas (example: --kind left --generated-from b)",
     )
     _add_json_flag(p)
     p.set_defaults(func=cmd_ideals)
@@ -447,7 +451,7 @@ def build_parser() -> _Parser:
             "examples: gag search --order 2 --gammas 1 --axiom ag  |  "
             "gag search --order 3 --axiom agss --filter intra-regular --json  |  "
             "gag search --order 3 --axiom agss --find-counterexample RINTL  |  "
-            "gag search --order 3 --count --limit 10 --time-budget 30 --workers 2"
+            "gag search --order 3 --count --limit 10 --time-budget 30"
         ),
     )
     p.add_argument("--order", type=int, required=True, help="carrier size n (example: --order 3)")
@@ -479,7 +483,7 @@ def build_parser() -> _Parser:
         metavar="SECONDS",
         help="wall-clock cutoff; budgeted runs are not byte-reproducible (example: --time-budget 60)",
     )
-    p.add_argument("--workers", type=int, default=1, help="parallel workers; the result set is worker-count independent (example: --workers 4)")
+    p.add_argument("--workers", type=int, default=1, help="ignored: every search runs in one process; kept so that existing command lines run")
     _add_json_flag(p)
     p.set_defaults(func=cmd_search)
 

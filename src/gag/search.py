@@ -13,9 +13,7 @@ it holds; if both are assigned it is checked at once; if only the
 smaller is assigned, the larger is forced to its value; otherwise the
 larger is put on the smaller's watch list and is forced when the
 smaller is assigned.  A forced cell tries only its forced value, and
-two forcings that disagree prune the branch at once.  A prefix is a set
-of pinned cells: its values are forced before the DFS starts, so the
-DFS yields just the tables that start with it.
+two forcings that disagree prune the branch at once.
 
 Symmetry is broken by lex-leader constraints: the DFS keeps the
 relabelings of elements and operators still tied with the partial
@@ -30,11 +28,8 @@ filter are invariant under isomorphism, so the least table of every
 class survives, and the leaves are exactly the canonical forms,
 distinct and in ascending order.  The filter runs once per class and
 nothing is deduplicated, so `--limit` keeps the least classes and
-`--time-budget` is honoured at the next leaf.  One worker runs a single
-DFS with nothing pinned.  A worker pool cuts the first rows into
-chunks, pins each first row in turn, and reads the chunks back in
-order, so the emitted classes and their order are independent of the
-worker count.
+`--time-budget` is honoured at the next leaf.  Every search is this one
+DFS in one process.
 
 The ground truth this enumerator is held to is the naive oracle in
 `gag.oracles`, which shares nothing with the DFS but `canonicalize` and
@@ -45,10 +40,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
-from multiprocessing import Pool
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .fileformat import model_to_json_obj
 from .model import GammaGroupoid
@@ -94,10 +87,9 @@ class SearchSpec:
     filter: str = "any"
     max_models: Optional[int] = None
     time_budget: Optional[float] = None
-    workers: int = 1
 
     def __post_init__(self):
-        for name, flag in (("n", "order"), ("m", "gammas"), ("max_models", "limit"), ("workers", "workers")):
+        for name, flag in (("n", "order"), ("m", "gammas"), ("max_models", "limit")):
             value = getattr(self, name)
             if value is None and name == "max_models":
                 continue
@@ -195,7 +187,7 @@ def compile_instances(n: int, m: int, axioms: Iterable[str]) -> tuple[tuple, ...
     and the second at x = y, so those are skipped.
 
     The DFS files each instance under the cell max(i, j) (see
-    _dfs_states).  When that cell is assigned, the outer cells
+    _dfs_state).  When that cell is assigned, the outer cells
     a = t[i]*s + p and b = t[j]*s + q are known; the instance is then
     checked, forces the larger of a and b, or watches the smaller.
     """
@@ -222,11 +214,8 @@ def compile_instances(n: int, m: int, axioms: Iterable[str]) -> tuple[tuple, ...
     return tuple(out)
 
 
-def _dfs_states(
-    n: int, m: int, axioms: Iterable[str], prefixes: Iterable[Sequence[int]]
-) -> Iterator[tuple]:
-    """The DFS state (t, total, n, ready, watch, forced, ties), built
-    once and yielded again with each prefix in turn pinned in `forced`.
+def _dfs_state(n: int, m: int, axioms: Iterable[str]) -> tuple:
+    """The DFS state (t, total, n, ready, watch, forced, ties).
 
     t is the table of `total` cells over n elements.  ready[c] lists the
     instances whose inner cells i and j are both known once cell c is
@@ -236,7 +225,7 @@ def _dfs_states(
     cell c: the relabeled table [inv[t[x]] for x in src] equals t before
     position k, and c = max(k, src[k]).  At first every relabeling but
     the identity is filed with k = 0 under src[0].  _dfs restores watch,
-    forced and ties on backtrack, so one state serves every prefix.
+    forced and ties on backtrack.
     """
     total = n * n * m
     ready: list[list[tuple]] = [[] for _ in range(total)]
@@ -245,18 +234,14 @@ def _dfs_states(
     ties: list[list[tuple]] = [[] for _ in range(total)]
     for inv, src in _relabelings(n, m)[1:]:
         ties[src[0]].append((inv, src, 0))
-    forced = [-1] * total
-    state = ([-1] * total, total, n, ready, [[] for _ in range(total)], forced, ties)
-    for prefix in prefixes:
-        forced[:] = [*prefix, *[-1] * (total - len(prefix))]
-        yield state
+    return ([-1] * total, total, n, ready, [[] for _ in range(total)], [-1] * total, ties)
 
 
 def _dfs(state: tuple, cell: int) -> Iterator[tuple[int, ...]]:
     """Every completion of t[:cell] that satisfies all instances and is
     the least table of its class, in ascending lexicographic order, over
-    a state from _dfs_states.  Cells pinned in `forced` before the call
-    stay pinned.
+    a state from _dfs_state.  Cells set in `forced` before the call stay
+    set, and take only their forced value.
     """
     t, total, n, ready, watch, forced, ties = state
     if cell == total:
@@ -323,55 +308,27 @@ def _passes_filter(g: GammaGroupoid, filt: str) -> bool:
     return filt == "any" or is_intra_regular(g).holds == (filt == "intra-regular")
 
 
-def _leaves(
-    n: int, m: int, axioms: frozenset, filt: str,
-    prefixes: Iterable[tuple[int, ...]] = ((),),
-) -> Iterator[Optional[tuple[int, ...]]]:
-    """One item per DFS leaf, in order: the leaf, a canonical form, or
-    None when the filter drops it.  Each prefix in turn pins the leading
-    cells of the table, and the DFS from cell 0 yields the leaves that
-    start with it; the default, one empty prefix, pins nothing."""
-    for state in _dfs_states(n, m, axioms, prefixes):
-        for flat in _dfs(state, 0):
-            yield flat if filt == "any" or _passes_filter(GammaGroupoid(n, m, flat), filt) else None
-
-
-def _pool_task(args) -> list[Optional[tuple[int, ...]]]:
-    """A worker's chunk of the leaf stream."""
-    return list(_leaves(*args))
-
-
 def _scan(spec: SearchSpec) -> tuple[list[tuple[int, ...]], bool, float]:
-    """Canonical forms in ascending order, from one DFS or from a pool
-    (see the module docstring).  `max_models` is checked at each class
-    and the time budget at every leaf after the first.  truncated=True
-    means the collected set is (or, on the clock, may be) incomplete: a
-    class turned up past `max_models`, or another leaf arrived after the
-    budget was spent.  Time-budget runs are the documented exception to
+    """Canonical forms in ascending order: the DFS's leaves that pass
+    the filter (see the module docstring).  `max_models` is checked at
+    each class and the time budget at every leaf after the first.
+    truncated=True means the collected set is (or, on the clock, may
+    be) incomplete: a class turned up past `max_models`, or another leaf
+    arrived after the budget was spent.  Time-budget runs are the documented exception to
     reproducibility.  Orders and operator counts past the
     canonicalization guard are refused before any work starts.
     """
     _check_canon_size(spec.n, spec.m)
     t0 = time.monotonic()
-    space = (spec.n, spec.m, spec.axioms, spec.filter)
-    pooled = spec.workers > 1 and spec.n > 1
     found: list[tuple[int, ...]] = []
-    with Pool(spec.workers) if pooled else nullcontext() as pool:
-        if pooled:
-            prefixes = list(itertools.product(range(spec.n), repeat=spec.n))
-            size = -(-len(prefixes) // (spec.workers * 4))
-            chunks = [(*space, prefixes[i : i + size]) for i in range(0, len(prefixes), size)]
-            leaves = itertools.chain.from_iterable(pool.imap(_pool_task, chunks))
-        else:
-            leaves = _leaves(*space)
-        for done, c in enumerate(leaves):
-            if done and spec.time_budget is not None and time.monotonic() - t0 > spec.time_budget:
-                return found, True, time.monotonic() - t0
-            if c is None:
-                continue
-            if len(found) == spec.max_models:
-                return found, True, time.monotonic() - t0
-            found.append(c)
+    for done, c in enumerate(_dfs(_dfs_state(spec.n, spec.m, spec.axioms), 0)):
+        if done and spec.time_budget is not None and time.monotonic() - t0 > spec.time_budget:
+            return found, True, time.monotonic() - t0
+        if spec.filter != "any" and not _passes_filter(GammaGroupoid(spec.n, spec.m, c), spec.filter):
+            continue
+        if len(found) == spec.max_models:
+            return found, True, time.monotonic() - t0
+        found.append(c)
     return found, False, time.monotonic() - t0
 
 
@@ -432,14 +389,12 @@ def spec_to_json_obj(
         out["theorem"] = theorem.value
     if spec.max_models is not None:
         out["limit"] = spec.max_models
-    # worker count deliberately omitted: structured output is required to
-    # be byte-identical across worker counts
     return out
 
 
 def search_to_json_obj(spec: SearchSpec, target: str, result: SearchResult) -> dict:
     # elapsed is deliberately text-mode only: structured output must be
-    # byte-identical across runs and worker counts
+    # byte-identical across runs
     out = {
         "search": spec_to_json_obj(spec, target),
         "count": result.count,

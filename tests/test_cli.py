@@ -132,6 +132,25 @@ def test_ideals_generated(capsys):
     assert "{a}" in out
 
 
+def test_ideals_generated_from_labels_with_commas(capsys, tmp_path):
+    # A value that is a label names that one element; any other value is
+    # a comma-separated list.
+    path = tmp_path / "comma.gag"
+    path.write_text("gag v1\nelements: a,b c\ngammas: g\ntable g:\na,b a,b\na,b c\n")
+    seeds = {
+        ("a,b",): ["a,b"],
+        ("a,b", "c"): ["a,b", "c"],
+    }
+    for values, seed in seeds.items():
+        flags = [f for v in values for f in ("--generated-from", v)]
+        code, out, err = run(capsys, "ideals", str(path), "--kind", "left", *flags, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["seed"] == seed
+    code, out, _ = run(capsys, "ideals", M5, "--kind", "left", "--generated-from", "b,c", "--json")
+    assert code == 0
+    assert json.loads(out)["seed"] == ["b", "c"]
+
+
 def test_ideals_dot(capsys):
     code, out, _ = run(capsys, "ideals", M5, "--kind", "two-sided", "--dot")
     assert code == 0
@@ -237,6 +256,20 @@ def test_search_json_stable_across_workers(capsys):
     assert "workers" not in json.loads(one)["search"]
 
 
+def test_search_runs_in_one_process():
+    # --workers is accepted and ignored: no search loads multiprocessing
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, gag.cli\n"
+        "code = gag.cli.main(['search', '--order', '3', '--count', '--workers', '2'])\n"
+        "sys.exit(code or 'multiprocessing' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().startswith("# count=20 truncated=false")
+
+
 def test_search_hunt_found_exits_2(capsys):
     code, out, _ = run(
         capsys,
@@ -333,15 +366,15 @@ def test_hunt_matches_frozen_fixture(freezer, row):
     assert freezer.cli_digest(row["argv"]) == (row["exit"], row["sha256"])
 
 
-# each frozen search as frozen (one worker) and with --workers 2 before --json
-SEARCH_RUNS = [(row["argv"][:-1] + pool + row["argv"][-1:], row)
+# each frozen search as frozen and with the ignored --workers 2 before --json
+SEARCH_RUNS = [(row["argv"][:-1] + workers + row["argv"][-1:], row)
                for row in load_data("search_outputs.json")["searches"]
-               for pool in ([], ["--workers", "2"])]
+               for workers in ([], ["--workers", "2"])]
 
 
 @pytest.mark.parametrize("argv,row", SEARCH_RUNS, ids=["-".join(argv[1:-1]) for argv, _ in SEARCH_RUNS])
 def test_search_matches_frozen_fixture(freezer, argv, row):
-    # search --json on spaces no oracle reaches, byte for byte, pooled or not
+    # search --json on spaces no oracle reaches, byte for byte
     assert freezer.cli_digest(argv) == (row["exit"], row["sha256"])
 
 

@@ -1,6 +1,7 @@
 """Model enumeration up to isomorphism, canonical forms, hunts."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -21,9 +22,9 @@ from gag import (
     find_counterexample,
     find_counterexamples,
 )
-from gag import oracles, search
+from gag import cli, model_to_json_obj, oracles, search
 from gag.oracles import naive_enumerate
-from gag.search import compile_instances, spec_to_json_obj
+from gag.search import AXIOM_SETS, compile_instances, spec_to_json_obj
 
 AG = frozenset({"left-invertive"})
 AGSS = frozenset({"left-invertive", "ag-star-star"})
@@ -83,35 +84,45 @@ def _reference_forms(n, m, axioms):
     return sorted({_reference_canonicalize(GammaGroupoid(n, m, flat)) for flat in leaves})
 
 
-def _starting_with(forms, prefix):
-    return [c for c in forms if c[: len(prefix)] == prefix]
-
-
-def _dfs_leaves(n, m, axioms, prefixes):
-    """The production DFS's leaves below each prefix in turn, through one
-    state as in one pool task.  Every watch, forcing and tie filing is
-    undone on the way back up, so after each prefix the state is as
-    freshly built with that prefix pinned, the table aside."""
-    fresh = search._dfs_states(n, m, axioms, prefixes)
-    out = {}
-    for prefix, state in zip(prefixes, search._dfs_states(n, m, axioms, prefixes)):
-        out[prefix] = list(search._dfs(state, 0))
-        assert state[1:] == next(fresh)[1:], prefix
-    return out
-
-
 @pytest.mark.parametrize(
     "n,m,axioms",
-    [(n, 1, ax) for n in (1, 2, 3, 4) for ax in (AG, AGSS)] + [(3, 2, AG)],
+    [(n, 1, ax) for n in (1, 2, 3, 4) for ax in (AG, AGSS)]
+    + [(n, m, ax) for n, m in ((3, 2), (2, 2), (1, 3)) for ax in (AG, AGSS)],
     ids=lambda v: "agss" if v == AGSS else "ag" if v == AG else str(v),
 )
 def test_dfs_leaf_sequence_matches_reference(n, m, axioms):
     # The leaves are the canonical forms of the reference leaves, each
-    # once, ascending: with nothing pinned, and below each first row.
-    want = _reference_forms(n, m, axioms)
-    prefixes = [(), *itertools.product(range(n), repeat=n)]
-    for prefix, got in _dfs_leaves(n, m, axioms, prefixes).items():
-        assert got == _starting_with(want, prefix), prefix
+    # once, ascending.  Every watch, forcing and tie filing is undone on
+    # the way back up, so afterwards the state is as freshly built, the
+    # table aside.
+    state = search._dfs_state(n, m, axioms)
+    assert list(search._dfs(state, 0)) == _reference_forms(n, m, axioms)
+    assert state[1:] == search._dfs_state(n, m, axioms)[1:]
+
+
+def _starting_with(forms, prefix):
+    return [c for c in forms if c[: len(prefix)] == prefix]
+
+
+def _pinned(state, prefix):
+    forced = state[5]
+    forced[:] = [*prefix, *[-1] * (len(forced) - len(prefix))]
+    return state
+
+
+def _dfs_leaves(n, m, axioms, prefixes):
+    """The DFS's leaves with each prefix in turn pinned in `forced`,
+    through one state.  Pinned cells take the forced-cell path from
+    cell 0, so the DFS yields just the tables that start with the
+    prefix.  Every watch, forcing and tie filing is undone on the way
+    back up, so after each prefix the state is as freshly built with
+    that prefix pinned, the table aside."""
+    state = search._dfs_state(n, m, axioms)
+    out = {}
+    for prefix in prefixes:
+        out[prefix] = list(search._dfs(_pinned(state, prefix), 0))
+        assert state[1:] == _pinned(search._dfs_state(n, m, axioms), prefix)[1:], prefix
+    return out
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -287,36 +298,28 @@ def test_enumeration_is_canonical_ascending_and_distinct():
         assert canonicalize(g) == g.table
 
 
-def test_workers_do_not_change_results():
-    base = enumerate_models(SearchSpec(n=3, m=1, axioms=AG, workers=1))
-    multi = enumerate_models(SearchSpec(n=3, m=1, axioms=AG, workers=2))
-    assert [g.table for g in base.models] == [g.table for g in multi.models]
-    cut1 = enumerate_models(SearchSpec(n=3, m=1, axioms=AG, max_models=7, workers=1))
-    cut2 = enumerate_models(SearchSpec(n=3, m=1, axioms=AG, max_models=7, workers=3))
-    assert [g.table for g in cut1.models] == [g.table for g in cut2.models]
-    assert cut1.truncated and cut2.truncated
-    assert cut1.count == 7
-
-
 def test_time_budget_truncates_to_a_subset():
-    # Budgeted runs stop at the second leaf here; a pool hands its leaves
-    # over a chunk at a time, so no exact count is asserted.
+    # The budget is spent before the second leaf, which sees it.
     full = {g.table for g in enumerate_models(SearchSpec(n=4, m=1)).models}
     assert len(full) == 331
-    for workers in (1, 2):
-        spec = SearchSpec(n=4, m=1, time_budget=1e-9, workers=workers)
-        cut = enumerate_models(spec)
-        assert cut.truncated
-        assert cut.count < 331
-        assert {g.table for g in cut.models} <= full
+    cut = enumerate_models(SearchSpec(n=4, m=1, time_budget=1e-9))
+    assert cut.truncated
+    assert cut.count == 1
+    assert {g.table for g in cut.models} <= full
+
+
+def _search_json(capsys, *flags):
+    # `gag search --json`; the --workers value among the flags is
+    # accepted and ignored, so it must not move any result
+    assert cli.main(["search", "--json", *map(str, flags)]) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_time_budget_spent_after_the_last_leaf_is_not_a_truncation(workers):
+def test_time_budget_spent_after_the_last_leaf_is_not_a_truncation(capsys, workers):
     # One leaf: once it is in, nothing was cut short.
-    res = count_models(SearchSpec(n=1, m=1, time_budget=1e-9, workers=workers))
-    assert res.count == 1
-    assert not res.truncated
+    res = _search_json(capsys, "--order", 1, "--count", "--time-budget", 1e-9, "--workers", workers)
+    assert (res["count"], res["truncated"]) == (1, False)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -325,12 +328,11 @@ def test_time_budget_spent_after_the_last_leaf_is_not_a_truncation(workers):
     [(1, 1, False), (3, 20, False), (3, 19, True)],
     ids=["n1-whole-space", "n3-whole-space", "n3-one-short"],
 )
-def test_limit_truncates_only_when_a_class_is_left_out(n, limit, truncated, workers):
+def test_limit_truncates_only_when_a_class_is_left_out(capsys, n, limit, truncated, workers):
     # The order-3 ag space has 20 classes: a limit it exactly fills
     # returns all of them untruncated; one less leaves a class out.
-    res = count_models(SearchSpec(n=n, m=1, axioms=AG, max_models=limit, workers=workers))
-    assert res.count == limit
-    assert res.truncated is truncated
+    res = _search_json(capsys, "--order", n, "--count", "--limit", limit, "--workers", workers)
+    assert (res["count"], res["truncated"]) == (limit, truncated)
 
 
 def _counting_leaves(monkeypatch):
@@ -375,17 +377,18 @@ def test_time_budget_is_seen_at_the_next_leaf(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize(
-    "n, m, axioms, limit",
-    [(4, 1, AG, 50), (3, 2, AG, 111), (5, 1, AGSS, 3)],
+    "n, m, axiom, limit",
+    [(4, 1, "ag", 50), (3, 2, "ag", 111), (5, 1, "agss", 3)],
     ids=["n4-ag", "n3m2-ag", "n5-agss"],
 )
-def test_limit_keeps_the_least_classes(n, m, axioms, limit, workers):
+def test_limit_keeps_the_least_classes(capsys, n, m, axiom, limit, workers):
     # Classes are found in ascending canonical form, so a limit keeps
     # the least ones: a prefix of the full enumeration.
-    full = enumerate_models(SearchSpec(n=n, m=m, axioms=axioms))
-    cut = enumerate_models(SearchSpec(n=n, m=m, axioms=axioms, max_models=limit, workers=workers))
-    assert [g.table for g in cut.models] == [g.table for g in full.models][:limit]
-    assert cut.truncated and not full.truncated
+    full = enumerate_models(SearchSpec(n=n, m=m, axioms=AXIOM_SETS[axiom]))
+    cut = _search_json(capsys, "--order", n, "--gammas", m, "--axiom", axiom,
+                       "--limit", limit, "--workers", workers)
+    assert cut["models"] == [model_to_json_obj(g) for g in full.models[:limit]]
+    assert cut["truncated"] and not full.truncated
 
 
 def test_max_models_prefix_of_full_run():
@@ -465,13 +468,10 @@ def test_spec_validation():
         SearchSpec(n=2, m=1, max_models=0)
     with pytest.raises(ValueError):
         SearchSpec(n=2, m=1, time_budget=0.0)
-    with pytest.raises(ValueError):
-        SearchSpec(n=2, m=1, workers=0)
     # counts must be integers; a NaN is not one, nor is a bool
     nan = float("nan")
     for bad in ({"n": 2.5}, {"m": nan}, {"max_models": 2.5}, {"max_models": nan},
-                {"workers": nan}, {"workers": 2.0}, {"n": True}, {"m": True},
-                {"max_models": True}, {"workers": True}):
+                {"n": True}, {"m": True}, {"max_models": True}):
         with pytest.raises(ValueError, match="must be an integer"):
             SearchSpec(**{"n": 3, "m": 1, **bad})
     for bad in ("5", True):
@@ -490,7 +490,6 @@ def test_filter_alias_normalized():
         SearchSpec(n=2, m=1, filter="not-intra-regular")
     obj = spec_to_json_obj(SearchSpec(n=2, m=1, filter="non-intra-regular"), "enumerate")
     assert obj["filter"] == "non-intra-regular"
-    assert "workers" not in obj
 
 
 def test_single_axiom_strong_law_search():
