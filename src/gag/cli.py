@@ -8,14 +8,17 @@ via the token `@paper-example`.
 
 Exit codes: 0 ok/pass; 2 a theorem check failed (or a hunt found a
 counterexample); 3 guard or axiom failure; 64 usage; 65 unreadable or
-malformed input, or a search beyond the canonicalization guard.
+malformed input, or a search beyond the canonicalization guard; 141
+stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional, Sequence
 
 from .fileformat import (
@@ -60,6 +63,7 @@ from .theorems import (
 
 EX_USAGE = 64
 EX_DATA = 65
+EX_SIGPIPE = 141  # 128 + SIGPIPE, the status of a shell pipeline's closed writer
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,8 +95,62 @@ def _load_model(ref: str) -> GammaGroupoid:
         return parse_model(_read_utf8(fh, ref))
 
 
+@lru_cache(maxsize=None)
+def _json_pads(depth: int) -> tuple[str, str, str, str, str]:
+    """Openers, separator and closers of a container at this depth, made
+    once per depth so that no container allocates its own."""
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    return "[" + inner, "{" + inner, "," + inner, outer + "]", outer + "}"
+
+
+def _write_json(obj, out: list[str], depth: int = 0) -> None:
+    """Append the text json.dumps(obj, indent=2) gives to out, for dicts
+    with str keys, lists, tuples, str, int, bool and None; anything else,
+    float included, raises TypeError.  A plain function, not a closure:
+    one that refers to itself is a reference cycle left to the collector."""
+    if isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        _, sep, between, _, close = _json_pads(depth)
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(_json_str(key))
+            out.append(": ")
+            _write_json(value, out, depth + 1)
+            sep = between
+        out.append(close)
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        sep, _, between, close, _ = _json_pads(depth)
+        for value in obj:
+            out.append(sep)
+            _write_json(value, out, depth + 1)
+            sep = between
+        out.append(close)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    out: list[str] = []
+    _write_json(obj, out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 _LAW_VARS = {
@@ -507,7 +565,17 @@ _PARSER = build_parser()
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`gag search ... | head -1`): exit as
+        # SIGPIPE would, and send what is still buffered to devnull so the
+        # flush at interpreter exit reports nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EX_SIGPIPE
     except (UsageError, ModelFormatError, SizeGuardError, EmptySubsetError, OSError) as e:
         print(f"gag: error: {e}", file=sys.stderr)
         return EX_USAGE if isinstance(e, UsageError) else EX_DATA

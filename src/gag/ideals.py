@@ -177,9 +177,11 @@ def semiprime_offender(g: GammaGroupoid, p: Subset) -> Optional[Subset]:
 
 def elementwise_offender(g: GammaGroupoid, p: Subset) -> Optional[int]:
     """First element a with {a}*{a} <= P but a not in P."""
+    _check_model_subset(g, p)
+    cells, mask = g.product_masks.cells, p.mask
     for x in range(g.n):
-        sx = Subset.singleton(g.n, x)
-        if subset_product(g, sx, sx) <= p and x not in p:
+        # {x}*{x} is the diagonal cell of the product masks
+        if not cells[x][x] & ~mask and not mask >> x & 1:
             return x
     return None
 

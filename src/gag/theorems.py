@@ -143,6 +143,11 @@ def _sub(g: GammaGroupoid, ext: Iterable[int]) -> Subset:
     return Subset.from_members(g.n, ext)
 
 
+# products one context keeps, about 0.3 MB; a suite run on an ag class
+# with n <= 4 (m = 1) or n <= 3 (m = 2) computes at most 64
+_MAX_PRODUCTS = 1 << 10
+
+
 class _Ctx:
     """Per-model caches shared by the checks of one suite run."""
 
@@ -152,9 +157,20 @@ class _Ctx:
         self.profile = axiom_profile(g)
         self.intra = is_intra_regular(g) if self.profile.left_invertive else None
         self._memo: dict[Any, Any] = {}
+        self._products: dict[tuple[int, int], Subset] = {}
+        self._masks: dict[str, frozenset[int]] = {}
 
     def prod(self, a: Subset, b: Subset) -> Subset:
-        return subset_product(self.g, a, b)
+        """A*B, kept for each pair of masks until _MAX_PRODUCTS are kept:
+        the pair sweeps over a large family would otherwise keep one
+        product per pair of members."""
+        key = (a.mask, b.mask)
+        p = self._products.get(key)
+        if p is None:
+            p = subset_product(self.g, a, b)
+            if len(self._products) < _MAX_PRODUCTS:
+                self._products[key] = p
+        return p
 
     def once(self, fn: Callable[..., Any], *args: Any) -> Any:
         """fn(self, *args), computed at most once per context."""
@@ -175,7 +191,13 @@ class _Ctx:
         return self.once(_family_set, _FAMILY_KEY[kind])
 
     def has(self, kind, a: Subset) -> bool:
-        return a in self.family_set(kind)
+        """a in family(kind), by mask; the kind is read by its value,
+        because a dict lookup on an Enum member hashes it in Python."""
+        key = kind if type(kind) is str else kind._value_
+        masks = self._masks.get(key)
+        if masks is None:
+            masks = self._masks[key] = frozenset(x.mask for x in self.family(key))
+        return a.mask in masks
 
     def intra_holds(self) -> bool:
         return self.intra is not None and self.intra.holds
@@ -734,8 +756,11 @@ def _first_failure(c: _Ctx, check: _Check) -> Optional[Counterexample]:
     return None
 
 
-def run_check(g: GammaGroupoid, theorem: TheoremId) -> TheoremReport:
-    c, check = _ctx(g), _CHECKS[theorem]
+# the checks in TheoremId order, so a whole suite never hashes a TheoremId
+_SUITE: tuple[tuple[TheoremId, _Check], ...] = tuple((t, _CHECKS[t]) for t in TheoremId)
+
+
+def _run(c: _Ctx, theorem: TheoremId, check: _Check) -> TheoremReport:
     reason = _guard(c, check.need_intra)
     if reason:
         return TheoremReport(theorem, SKIPPED, reason=reason)
@@ -747,6 +772,10 @@ def run_check(g: GammaGroupoid, theorem: TheoremId) -> TheoremReport:
         theorem, FAIL if cx else PASS, counterexample=cx,
         instances=check.instances(c, cx), details=check.details(c, cx),
     )
+
+
+def run_check(g: GammaGroupoid, theorem: TheoremId) -> TheoremReport:
+    return _run(_ctx(g), theorem, _CHECKS[theorem])
 
 
 def revalidate_counterexample(g: GammaGroupoid, cx: Counterexample) -> bool:
@@ -774,8 +803,8 @@ def run_suite(
     g: GammaGroupoid, selection: Optional[Iterable[TheoremId]] = None
 ) -> list[TheoremReport]:
     """Run the selected checks (all by default) in TheoremId order."""
-    chosen = set(TheoremId) if selection is None else set(selection)
-    return [run_check(g, tid) for tid in TheoremId if tid in chosen]
+    c, chosen = _ctx(g), None if selection is None else set(selection)
+    return [_run(c, tid, check) for tid, check in _SUITE if chosen is None or tid in chosen]
 
 
 def model_hash(g: GammaGroupoid) -> str:

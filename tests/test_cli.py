@@ -1,5 +1,6 @@
 """Command line driver: exit codes, output formats, determinism."""
 
+import gc
 import io
 import json
 import os
@@ -11,9 +12,11 @@ from pathlib import Path
 
 import pytest
 from conftest import load_data
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gag import GammaGroupoid, TheoremId, parse_model, parse_models, serialize_model
-from gag.cli import main
+from gag.cli import _write_json, main
 from gag.fixtures import PAPER_EXAMPLE_TOKEN
 
 M5 = PAPER_EXAMPLE_TOKEN
@@ -222,6 +225,68 @@ def test_verify_json_is_byte_deterministic(capsys):
     obj = json.loads(first)
     assert len(obj["reports"]) == 31
     assert obj["axiom-profile"]["paramedial"] is True
+
+
+def _written(obj) -> str:
+    out: list[str] = []
+    _write_json(obj, out)
+    return "".join(out)
+
+
+# quotes, backslashes and control characters, plus any code point,
+# lone surrogates and non-ASCII text included
+_JSON_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f') | st.characters(exclude_categories=()))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**400), 10**400) | _JSON_TEXT,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_JSON_TEXT, inner),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_matches_json_dumps(obj):
+    # json.dumps(obj, indent=2) is the reference for every --json byte
+    assert _written(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [1.5, [0, 2.0], {"a": float("nan")}, {1: "a"}, {None: 0}, {"a": {(1,): 0}}, {1, 2}])
+def test_json_writer_rejects_floats_and_non_str_keys(obj):
+    with pytest.raises(TypeError):
+        _written(obj)
+
+
+def test_json_calls_leave_no_cyclic_garbage(capsys):
+    # the first call fills per-process caches; the second must leave
+    # nothing for the collector
+    for argv in (["verify", "--json", M5], ["check", "--json", M5], ["search", "--order", "3", "--json"]):
+        run(capsys, *argv)
+        gc.collect()
+        gc.disable()
+        try:
+            assert run(capsys, *argv)[0] == 0
+            assert gc.collect() == 0, argv
+        finally:
+            gc.enable()
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    # the reader takes one line and closes the pipe; the search writes
+    # about 95 kB, more than the pipe holds, so a later write fails
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with open(tmp_path / "stderr", "w+b") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gag.cli", "search", "--order", "5", "--axiom", "agss"],
+            stdout=subprocess.PIPE, stderr=err, env=env,
+        )
+        try:
+            assert proc.stdout.readline() == b"gag v1\n"
+        finally:
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        err.seek(0)
+        assert (code, err.read()) == (141, b"")
 
 
 def test_search_text_round_trips(capsys):

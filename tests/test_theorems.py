@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 from conftest import load_data
@@ -176,6 +177,21 @@ def test_run_check_selection(m5):
     assert r.theorem is TheoremId.LI and r.status == "pass"
     picked = run_suite(m5, selection=[TheoremId.KI, TheoremId.AW])
     assert [p.theorem for p in picked] == [TheoremId.KI, TheoremId.AW]
+
+
+def test_run_suite_agrees_with_run_check_on_corpus():
+    # run_suite enters one context and runs the table; run_check looks the
+    # context up per check.  A shuffled selection still comes back in
+    # TheoremId order.
+    rng = random.Random(23)
+    for row in load_data("verify_outputs.json")["models"]:
+        g = GammaGroupoid(row["order"], row["gammas"], tuple(row["table"]))
+        theorems._ctx.cache_clear()
+        reports = run_suite(g)
+        theorems._ctx.cache_clear()
+        assert reports == [run_check(g, t) for t in TheoremId], row["table"]
+        picked = rng.sample(list(TheoremId), rng.randint(1, len(TheoremId)))
+        assert run_suite(g, picked) == [r for r in reports if r.theorem in picked]
 
 
 def test_report_json_obj_shape(m5):
