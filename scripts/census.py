@@ -15,7 +15,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gag.oracles import naive_enumerate
-from gag.search import AXIOM_SETS, FILTER_NAMES, SearchSpec, enumerate_models
+from gag.search import (
+    AXIOM_SETS,
+    FILTER_NAMES,
+    MAX_CANON_M,
+    MAX_CANON_N,
+    SearchSpec,
+    enumerate_models,
+)
 
 
 def main() -> int:
@@ -35,6 +42,11 @@ def main() -> int:
         help="recompute each cell with the naive oracle and compare sets",
     )
     args = ap.parse_args()
+    # the search refuses larger spaces; refuse them before the smaller ones run
+    if args.max_order > MAX_CANON_N:
+        ap.error(f"--max-order is at most {MAX_CANON_N}, the search's size guard")
+    if args.max_gammas > MAX_CANON_M:
+        ap.error(f"--max-gammas is at most {MAX_CANON_M}, the search's size guard")
 
     axiom_names = tuple(AXIOM_SETS) if args.axiom == "both" else (args.axiom,)
     filters = FILTER_NAMES if args.filter == "all" else (args.filter,)

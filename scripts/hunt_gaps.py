@@ -18,7 +18,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gag.cli import _theorem_id
 from gag.fileformat import serialize_model
-from gag.search import AXIOM_SETS, SearchSpec, enumerate_models, find_counterexamples
+from gag.search import (
+    AXIOM_SETS,
+    MAX_CANON_M,
+    MAX_CANON_N,
+    SearchSpec,
+    enumerate_models,
+    find_counterexamples,
+)
 from gag.theorems import TheoremId, revalidate_counterexample
 
 # converse-capable checks, hunted by default here and frozen in
@@ -38,6 +45,11 @@ def main() -> int:
     )
     ap.add_argument("--show-models", action="store_true", help="print each witness model")
     args = ap.parse_args()
+    # the search refuses larger spaces; refuse them before the smaller ones run
+    if args.max_order > MAX_CANON_N:
+        ap.error(f"--max-order is at most {MAX_CANON_N}, the search's size guard")
+    if args.max_gammas > MAX_CANON_M:
+        ap.error(f"--max-gammas is at most {MAX_CANON_M}, the search's size guard")
     hunted = args.theorem or [TheoremId.from_name(n) for n in HUNTED]
 
     witnesses = 0

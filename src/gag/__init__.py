@@ -16,16 +16,7 @@ from .ideals import (
     IdealKind,
     generated_ideal,
     ideal_family,
-    is_bi_ideal,
     is_elementwise_semiprime,
-    is_generalized_bi_ideal,
-    is_interior_ideal,
-    is_left_ideal,
-    is_one_two_ideal,
-    is_quasi_ideal,
-    is_right_ideal,
-    is_subgroupoid,
-    is_two_sided_ideal,
     kind_predicate,
 )
 from .model import (

@@ -286,6 +286,8 @@ def cmd_ideals(args) -> int:
                 print("coinciding:", " = ".join(grp))
         return 0
 
+    if args.dot and args.json:
+        raise UsageError("--dot and --json are two output formats; give one")
     kind = IdealKind(args.kind)
     fam = ideal_family(g, kind)
     if args.dot:

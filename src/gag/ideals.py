@@ -1,26 +1,17 @@
-"""Ideal-like subset classes and the predicates that decide them.
+"""Ideal-like subset classes, each stated once as a closure map.
 
-All predicates take a model and a non-empty subset bound to its
-carrier; emptiness or a carrier mismatch raises instead of returning
-False, so a False answer always means the defining inclusion failed.
-
-Conventions:
-
-  subgroupoid       A*A <= A
-  left ideal        S*A <= A
-  right ideal       A*S <= A
-  two-sided ideal   both
-  bi-ideal          subgroupoid and (A*S)*A <= A
-  generalized bi    (A*S)*A <= A alone (no subgroupoid requirement)
-  interior ideal    subgroupoid and (S*A)*S <= A
-  quasi-ideal       (S*A) & (A*S) <= A (no subgroupoid requirement)
-  (1,2)-ideal       subgroupoid and (A*S)*(A*A) <= A
+Every kind is the family {A : F(A) <= A} for one monotone map F built
+from products, kept in `_CLOSURE_MAPS`; the family listing, the
+generated ideals and `kind_predicate` all read that map.  A kind's
+predicate takes a model and a non-empty subset bound to its carrier;
+emptiness or a carrier mismatch raises instead of returning False, so
+a False answer always means the defining inclusion failed.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 from .model import GammaGroupoid
@@ -32,6 +23,7 @@ from .subsets import (
     subset_product,
     _check_model_subset,
     _closure,
+    _mask_product,
 )
 
 
@@ -53,71 +45,9 @@ def _validated(g: GammaGroupoid, a: Subset) -> None:
         raise EmptySubsetError("ideal predicates are defined for non-empty subsets")
 
 
-def is_subgroupoid(g: GammaGroupoid, a: Subset) -> bool:
-    _validated(g, a)
-    return subset_product(g, a, a) <= a
-
-
-def is_left_ideal(g: GammaGroupoid, a: Subset) -> bool:
-    _validated(g, a)
-    return subset_product(g, Subset.full(g.n), a) <= a
-
-
-def is_right_ideal(g: GammaGroupoid, a: Subset) -> bool:
-    _validated(g, a)
-    return subset_product(g, a, Subset.full(g.n)) <= a
-
-
-def is_two_sided_ideal(g: GammaGroupoid, a: Subset) -> bool:
-    return is_left_ideal(g, a) and is_right_ideal(g, a)
-
-
-def is_bi_ideal(g: GammaGroupoid, a: Subset) -> bool:
-    return is_subgroupoid(g, a) and is_generalized_bi_ideal(g, a)
-
-
-def is_generalized_bi_ideal(g: GammaGroupoid, a: Subset) -> bool:
-    _validated(g, a)
-    asa = subset_product(g, subset_product(g, a, Subset.full(g.n)), a)
-    return asa <= a
-
-
-def is_interior_ideal(g: GammaGroupoid, a: Subset) -> bool:
-    s = Subset.full(g.n)
-    return is_subgroupoid(g, a) and subset_product(g, subset_product(g, s, a), s) <= a
-
-
-def is_quasi_ideal(g: GammaGroupoid, a: Subset) -> bool:
-    _validated(g, a)
-    s = Subset.full(g.n)
-    return (subset_product(g, s, a) & subset_product(g, a, s)) <= a
-
-
-def is_one_two_ideal(g: GammaGroupoid, a: Subset) -> bool:
-    if not is_subgroupoid(g, a):
-        return False
-    lhs = subset_product(g, subset_product(g, a, Subset.full(g.n)), subset_product(g, a, a))
-    return lhs <= a
-
-
-_PREDICATES: dict[IdealKind, Callable[[GammaGroupoid, Subset], bool]] = {
-    IdealKind.SUBGROUPOID: is_subgroupoid,
-    IdealKind.LEFT: is_left_ideal,
-    IdealKind.RIGHT: is_right_ideal,
-    IdealKind.TWO_SIDED: is_two_sided_ideal,
-    IdealKind.BI: is_bi_ideal,
-    IdealKind.GENERALIZED_BI: is_generalized_bi_ideal,
-    IdealKind.INTERIOR: is_interior_ideal,
-    IdealKind.QUASI: is_quasi_ideal,
-    IdealKind.ONE_TWO: is_one_two_ideal,
-}
-
-
-def kind_predicate(kind: IdealKind) -> Callable[[GammaGroupoid, Subset], bool]:
-    return _PREDICATES[kind]
-
-
-# each kind as {A : F(A) <= A}, F(p, s, A) on masks as in `closed_subsets`
+# each kind as {A : F(A) <= A}, F(p, s, A) on masks as in `closed_subsets`,
+# with p the product and s the carrier; generalized bi- and quasi-ideals
+# need not be subgroupoids
 _CLOSURE_MAPS: dict[IdealKind, MaskMap] = {
     IdealKind.SUBGROUPOID: lambda p, s, a: p(a, a),
     IdealKind.LEFT: lambda p, s, a: p(s, a),
@@ -131,10 +61,22 @@ _CLOSURE_MAPS: dict[IdealKind, MaskMap] = {
 }
 
 
+def kind_predicate(kind: IdealKind) -> Callable[[GammaGroupoid, Subset], bool]:
+    """Decides F(A) <= A, F the kind's closure map, for a non-empty
+    subset A bound to the model's carrier."""
+    f = _CLOSURE_MAPS[kind]
+
+    def member(g: GammaGroupoid, a: Subset) -> bool:
+        _validated(g, a)
+        return not f(partial(_mask_product, g), (1 << g.n) - 1, a.mask) & ~a.mask
+
+    return member
+
+
 @lru_cache(maxsize=128)
 def ideal_family(g: GammaGroupoid, kind: IdealKind) -> tuple[Subset, ...]:
     """All non-empty subsets of the given kind, canonical order, listed
-    by closure; the predicates above are the independent check."""
+    by closure rather than by testing every subset."""
     return closed_subsets(g, _CLOSURE_MAPS[kind])
 
 

@@ -18,8 +18,8 @@ Every fail report carries a Counterexample whose `condition` names the
 violated clause.  `revalidate_counterexample` finds that clause in the
 same table and, on a fresh context (not the per-model cache), checks the
 guard, rebuilds the witness from the recorded data, checks that it lies
-in the clause's domain by the defining predicates (`is_two_sided_ideal`,
-...), never the cached ideal families, checks the premise and runs the
+in the clause's domain by the kinds' predicates (`ideals.kind_predicate`),
+never the cached ideal families, checks the premise and runs the
 clause again.  It returns True only if every recorded field, witness and
 computed alike, comes back equal.
 """
@@ -186,18 +186,19 @@ class _Ctx:
             return self.once(_fixed_family)
         return ideal_family(self.g, IdealKind(kind))
 
-    def family_set(self, kind) -> frozenset[Subset]:
-        """family(kind) as a set, built once per kind however it is named."""
-        return self.once(_family_set, _FAMILY_KEY[kind])
-
-    def has(self, kind, a: Subset) -> bool:
-        """a in family(kind), by mask; the kind is read by its value,
-        because a dict lookup on an Enum member hashes it in Python."""
+    def masks(self, kind) -> frozenset[int]:
+        """The members' masks of family(kind), built once per family
+        however it is named; the kind is read by its value, because a
+        dict lookup on an Enum member hashes it in Python."""
         key = kind if type(kind) is str else kind._value_
         masks = self._masks.get(key)
         if masks is None:
             masks = self._masks[key] = frozenset(x.mask for x in self.family(key))
-        return a.mask in masks
+        return masks
+
+    def has(self, kind, a: Subset) -> bool:
+        """a in family(kind), by mask."""
+        return a.mask in self.masks(kind)
 
     def intra_holds(self) -> bool:
         return self.intra is not None and self.intra.holds
@@ -213,14 +214,6 @@ def _candidates(c: _Ctx) -> tuple[Subset, ...]:
     them.  Subgroupoids are left out; alone they can be every subset."""
     found = set(closed_subsets(c.g, lambda p, s, a: p(p(s, a), s)))
     return tuple(sorted(found.union(*map(c.family, _EQUALIENT)), key=Subset.members))
-
-
-def _family_set(c: _Ctx, kind) -> frozenset[Subset]:
-    return frozenset(c.family(kind))
-
-
-# the one memo key of each family, from an IdealKind or its value
-_FAMILY_KEY = {"fixed": "fixed", **{k: k for k in IdealKind}, **{k.value: k for k in IdealKind}}
 
 
 @lru_cache(maxsize=8)
@@ -248,7 +241,8 @@ _Test = Callable[..., Optional[tuple[tuple[str, Any], ...]]]
 @dataclass(frozen=True, eq=False)
 class _Domain:
     """Witnesses, named field by field: `sweep` lists them in report
-    order; `member` decides one by the defining predicates."""
+    order; `member` decides one by the kinds' predicates, never by the
+    cached families."""
 
     names: tuple[str, ...]
     sweep: Callable[[_Ctx], Iterable[tuple]]
@@ -439,11 +433,12 @@ _KIND_PAIRS = _Domain(
 
 
 def _family_mismatch(c: _Ctx, ka: str, kb: str):
-    differ = c.family_set(ka) ^ c.family_set(kb)
+    in_a = c.masks(ka)
+    differ = in_a ^ c.masks(kb)
     if not differ:
         return None
-    a = min(differ, key=Subset.members)
-    return (("A", _ext(a)), ("in", ka if c.has(ka, a) else kb))
+    a = min((Subset(c.g.n, x) for x in differ), key=Subset.members)
+    return (("A", _ext(a)), ("in", ka if a.mask in in_a else kb))
 
 
 def _semiprime_offense(c: _Ctx, r: Subset):
@@ -458,6 +453,9 @@ def _all_ideal_quantified(c: _Ctx, kind: IdealKind) -> bool:
 
 
 _RLT_PARTS = {"right": IdealKind.RIGHT, "left": IdealKind.LEFT, "two-sided": IdealKind.TWO_SIDED}
+_is_right = ideals.kind_predicate(IdealKind.RIGHT)
+_is_left = ideals.kind_predicate(IdealKind.LEFT)
+_is_two_sided = ideals.kind_predicate(IdealKind.TWO_SIDED)
 
 _RLT_DOMAIN = _Domain(
     ("part", "R"),
@@ -488,8 +486,8 @@ def _semiprime_right(c: _Ctx) -> tuple[Subset, ...]:
 _SEMIPRIME_RL = _Domain(
     ("R", "L"),
     lambda c: itertools.product(c.once(_semiprime_right), c.family(IdealKind.LEFT)),
-    lambda c, r, l: (ideals.is_right_ideal(c.g, r) and ideals.is_elementwise_semiprime(c.g, r)
-                     and ideals.is_left_ideal(c.g, l)),
+    lambda c, r, l: (_is_right(c.g, r) and ideals.is_elementwise_semiprime(c.g, r)
+                     and _is_left(c.g, l)),
 )
 
 
@@ -539,7 +537,7 @@ def _prime_irr(c: _Ctx, p: Subset):
 
 def _is_minimal_ideal(g: GammaGroupoid, q: Subset) -> bool:
     # a smaller ideal would hold the ideal one of Q's members generates
-    return ideals.is_two_sided_ideal(g, q) and all(
+    return _is_two_sided(g, q) and all(
         ideals.generated_ideal(g, IdealKind.TWO_SIDED, Subset.singleton(g.n, x)) == q for x in q
     )
 

@@ -2,12 +2,13 @@
 
 import importlib.util
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from gag import GammaGroupoid, Subset, is_two_sided_ideal, subset_product
+from gag import GammaGroupoid, IdealKind, Subset, subset_product
 from gag.fixtures import paper_example
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -37,6 +38,29 @@ def brute_product(g: GammaGroupoid, a: Subset, b: Subset) -> Subset:
     )
 
 
+# The definitions of the nine kinds as the paper states them, for a
+# non-empty A with S the carrier: each kind is a conjunction of
+# inclusions, read with products taken cell by cell.  The closure maps
+# of `gag.ideals` state each kind once more, as one map F with
+# F(A) <= A; every consumer of those maps is held to these.
+_DEFINITIONS = {
+    IdealKind.SUBGROUPOID: lambda p, s, a: p(a, a) <= a,
+    IdealKind.LEFT: lambda p, s, a: p(s, a) <= a,
+    IdealKind.RIGHT: lambda p, s, a: p(a, s) <= a,
+    IdealKind.TWO_SIDED: lambda p, s, a: p(s, a) <= a and p(a, s) <= a,
+    IdealKind.BI: lambda p, s, a: p(a, a) <= a and p(p(a, s), a) <= a,
+    IdealKind.GENERALIZED_BI: lambda p, s, a: p(p(a, s), a) <= a,
+    IdealKind.INTERIOR: lambda p, s, a: p(a, a) <= a and p(p(s, a), s) <= a,
+    IdealKind.QUASI: lambda p, s, a: (p(s, a) & p(a, s)) <= a,
+    IdealKind.ONE_TWO: lambda p, s, a: p(a, a) <= a and p(p(a, s), p(a, a)) <= a,
+}
+
+
+def defined(g: GammaGroupoid, kind: IdealKind, a: Subset) -> bool:
+    """Whether the non-empty subset A is of the given kind, by definition."""
+    return _DEFINITIONS[kind](partial(brute_product, g), Subset.full(g.n), a)
+
+
 # Definition sweeps for the properties of two-sided ideals.  Each returns
 # the least witness that P lacks the property, or None, in the order the
 # `gag.ideals` offender searches promise: ideals by sorted member tuple,
@@ -44,10 +68,10 @@ def brute_product(g: GammaGroupoid, a: Subset, b: Subset) -> Subset:
 
 
 def two_sided_ideals_by_filter(g: GammaGroupoid) -> list[Subset]:
-    """The non-empty subsets, by sorted member tuple, that pass
-    `is_two_sided_ideal`: the powerset filter, not the closure listing."""
+    """The non-empty subsets, by sorted member tuple, that are two-sided
+    ideals by definition: the powerset filter, not the closure listing."""
     powerset = sorted((Subset(g.n, mask) for mask in range(1, 1 << g.n)), key=Subset.members)
-    return [a for a in powerset if is_two_sided_ideal(g, a)]
+    return [a for a in powerset if defined(g, IdealKind.TWO_SIDED, a)]
 
 
 def prime_oracle(g: GammaGroupoid, p: Subset, ideals: list[Subset]):

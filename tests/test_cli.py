@@ -582,6 +582,12 @@ class TestUsageErrors:
         assert code == 64
         assert "--dot" in err
 
+    def test_dot_with_json(self, capsys):
+        code, out, err = run(capsys, "ideals", M5, "--kind", "left", "--dot", "--json")
+        assert code == 64
+        assert "--dot" in err and "--json" in err
+        assert out == ""
+
     def test_generated_from_needs_generated_kind(self, capsys):
         code, _, err = run(
             capsys, "ideals", M5, "--kind", "bi", "--generated-from", "a"

@@ -2,6 +2,7 @@
 
 import pytest
 from conftest import (
+    defined,
     elementwise_oracle,
     irreducible_oracle,
     models,
@@ -13,6 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gag import (
+    CarrierMismatchError,
+    EmptySubsetError,
+    GammaGroupoid,
     IdealKind,
     Subset,
     all_models,
@@ -23,18 +27,7 @@ from gag import (
     subset_product,
     theorems,
 )
-from gag.ideals import (
-    is_bi_ideal,
-    is_elementwise_semiprime,
-    is_generalized_bi_ideal,
-    is_interior_ideal,
-    is_left_ideal,
-    is_one_two_ideal,
-    is_quasi_ideal,
-    is_right_ideal,
-    is_subgroupoid,
-    is_two_sided_ideal,
-)
+from gag.ideals import is_elementwise_semiprime
 from gag.subsets import closed_subsets
 
 
@@ -72,10 +65,10 @@ def test_m5_named_counterexample_subsets(m5):
     ab = Subset.from_members(5, (0, 1))
     b = Subset.singleton(5, 1)
     # First subset in canonical order failing the quasi condition.
-    failing = [a for a in all_nonempty_subsets(m5) if not is_quasi_ideal(m5, a)]
+    failing = [a for a in all_nonempty_subsets(m5) if not defined(m5, IdealKind.QUASI, a)]
     assert failing[0] == ab
-    assert not is_generalized_bi_ideal(m5, b)
-    assert is_subgroupoid(m5, ab) and not is_interior_ideal(m5, ab)
+    assert not defined(m5, IdealKind.GENERALIZED_BI, b)
+    assert defined(m5, IdealKind.SUBGROUPOID, ab) and not defined(m5, IdealKind.INTERIOR, ab)
 
 
 def test_m5_prime_layer(m5):
@@ -108,23 +101,55 @@ def test_offenders_match_definition_sweeps_on_every_table(n, m):
     assert checked >= n ** (n * n * m)  # the carrier is an ideal of every table
 
 
+def _kinds_by_definition(g, a):
+    return {kind for kind in IdealKind if defined(g, kind, a)}
+
+
+def _kinds_by_predicate(g, a):
+    return {kind for kind in IdealKind if kind_predicate(kind)(g, a)}
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_kind_predicates_match_definitions_on_every_table(n, m):
+    # Every kind on every non-empty subset of every table of this size.
+    checked = 0
+    for g in all_models(n, m):
+        for mask in range(1, 1 << n):
+            a = Subset(n, mask)
+            assert _kinds_by_predicate(g, a) == _kinds_by_definition(g, a), (g.table, mask)
+            checked += 1
+    assert checked == n ** (n * n * m) * ((1 << n) - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(models(max_n=5, max_m=3), st.data())
+def test_kind_predicates_match_definitions(g, data):
+    a = Subset(g.n, data.draw(st.integers(1, (1 << g.n) - 1)))
+    assert _kinds_by_predicate(g, a) == _kinds_by_definition(g, a)
+
+
+def test_kind_predicates_refuse_empty_and_foreign_subsets(m5):
+    for kind in IdealKind:
+        with pytest.raises(EmptySubsetError):
+            kind_predicate(kind)(m5, Subset(5, 0))
+        with pytest.raises(CarrierMismatchError):
+            kind_predicate(kind)(m5, Subset.full(4))
+
+
 @settings(max_examples=150, deadline=None)
 @given(models(max_n=4, max_m=2), st.data())
 def test_kind_implications(g, data):
     a = Subset(g.n, data.draw(st.integers(1, (1 << g.n) - 1)))
-    left, right = is_left_ideal(g, a), is_right_ideal(g, a)
-    two = is_two_sided_ideal(g, a)
-    assert two == (left and right)
+    kinds = _kinds_by_definition(g, a)
+    two = IdealKind.TWO_SIDED in kinds
+    assert two == ({IdealKind.LEFT, IdealKind.RIGHT} <= kinds)
     if two:
-        assert is_subgroupoid(g, a)
-        assert is_bi_ideal(g, a)
-        assert is_interior_ideal(g, a)
-        assert is_quasi_ideal(g, a)
-        assert is_one_two_ideal(g, a)
-    if is_bi_ideal(g, a):
-        assert is_generalized_bi_ideal(g, a)
-    if left or right:
-        assert is_quasi_ideal(g, a)
+        assert {IdealKind.SUBGROUPOID, IdealKind.BI, IdealKind.INTERIOR,
+                IdealKind.QUASI, IdealKind.ONE_TWO} <= kinds
+    if IdealKind.BI in kinds:
+        assert IdealKind.GENERALIZED_BI in kinds
+    if IdealKind.LEFT in kinds or IdealKind.RIGHT in kinds:
+        assert IdealKind.QUASI in kinds
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,12 +174,11 @@ def _sbs_inside(g, a):
 @settings(max_examples=80, deadline=None)
 @given(models(max_n=8, max_m=3))
 def test_family_matches_predicate_sweep(g):
-    # Closure listing against the powerset filter by the predicates,
+    # Closure listing against the powerset filter by the definitions,
     # including the (S*A)*S family the theorem suite sweeps.
     subs = all_nonempty_subsets(g)
     for kind in IdealKind:
-        pred = kind_predicate(kind)
-        assert list(ideal_family(g, kind)) == [a for a in subs if pred(g, a)]
+        assert list(ideal_family(g, kind)) == [a for a in subs if defined(g, kind, a)]
     sbs = closed_subsets(g, lambda p, s, a: p(p(s, a), s))
     assert list(sbs) == [a for a in subs if _sbs_inside(g, a)]
     assert set(sbs) <= set(theorems._candidates(theorems._Ctx(g)))
@@ -163,17 +187,15 @@ def test_family_matches_predicate_sweep(g):
 def test_carrier_is_every_kind(m5):
     s = Subset.full(5)
     for kind in IdealKind:
-        assert kind_predicate(kind)(m5, s), kind
+        assert defined(m5, kind, s) and s in ideal_family(m5, kind), kind
 
 
 def test_quasi_does_not_require_subgroupoid():
     # Right projection x*y = y: {0} absorbs from the left and right by
     # intersection, yet is not closed as a subgroupoid check would demand
     # on a model where squares leave the set.
-    from gag import GammaGroupoid
-
     g = GammaGroupoid.from_tables([[[0, 1], [0, 1]]])
     a = Subset.singleton(2, 0)
     # S*A = {0}, A*S = {0, 1} so the intersection is {0} <= A.
-    assert is_quasi_ideal(g, a)
-    assert not is_right_ideal(g, a)
+    assert defined(g, IdealKind.QUASI, a) and a in ideal_family(g, IdealKind.QUASI)
+    assert not defined(g, IdealKind.RIGHT, a) and a not in ideal_family(g, IdealKind.RIGHT)

@@ -3,9 +3,11 @@
 import itertools
 import json
 import random
+import subprocess
+import sys
 
 import pytest
-from conftest import DATA_DIR, load_data, models
+from conftest import DATA_DIR, SCRIPTS_DIR, load_data, models
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -482,6 +484,27 @@ def test_spec_validation():
 def test_scan_refuses_oversized_carrier():
     with pytest.raises(SizeGuardError):
         enumerate_models(SearchSpec(n=7, m=1))
+
+
+@pytest.mark.parametrize(
+    "script, flags, flag",
+    [
+        ("census.py", "--max-order 7 --axiom agss --max-gammas 1", "--max-order"),
+        ("census.py", "--max-order 1 --max-gammas 4", "--max-gammas"),
+        ("hunt_gaps.py", "--max-order 7", "--max-order"),
+        ("hunt_gaps.py", "--max-order 1 --max-gammas 4", "--max-gammas"),
+    ],
+)
+def test_scripts_refuse_guarded_sizes_up_front(script, flags, flag):
+    # Refused before any smaller space is enumerated: a usage error, not
+    # a SizeGuardError traceback once orders 1-6 have run.
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS_DIR / script), *flags.split()],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert flag in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_filter_alias_normalized():

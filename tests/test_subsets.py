@@ -4,7 +4,7 @@ import json
 from itertools import product as iproduct
 
 import pytest
-from conftest import brute_product, models
+from conftest import brute_product, defined, models
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +16,6 @@ from gag import (
     Subset,
     all_nonempty_subsets,
     generated_ideal,
-    kind_predicate,
     model_to_json_obj,
     serialize_model,
     subset_product,
@@ -154,14 +153,15 @@ def test_m5_generated_ideals(m5):
         generated_ideal(m5, IdealKind.LEFT, Subset.full(4))
 
 
-def _minimal_closed_superset(g, seed, pred):
+def _minimal_closed_superset(g, seed, kind):
     # Oracle: smallest ideal of the given kind containing the seed, found
-    # by intersecting all qualifying supersets (the kind is intersection
-    # closed when the intersection still contains the seed).
+    # by intersecting all supersets that are of the kind by definition
+    # (the kind is intersection closed when the intersection still
+    # contains the seed).
     best = None
     for mask in range(1, 1 << g.n):
         cand = Subset(g.n, mask)
-        if seed <= cand and pred(g, cand):
+        if seed <= cand and defined(g, kind, cand):
             best = cand if best is None else (best & cand)
     return best
 
@@ -171,11 +171,10 @@ def _minimal_closed_superset(g, seed, pred):
 def test_generated_ideals_are_minimal(g, data):
     seed = Subset(g.n, data.draw(st.integers(1, (1 << g.n) - 1)))
     for kind in IdealKind:
-        pred = kind_predicate(kind)
         got = generated_ideal(g, kind, seed)
         assert seed <= got
-        assert pred(g, got)
-        assert got == _minimal_closed_superset(g, seed, pred)
+        assert defined(g, kind, got)
+        assert got == _minimal_closed_superset(g, seed, kind)
 
 
 def test_all_nonempty_subsets_canonical_order(m5):

@@ -5,10 +5,11 @@ import json
 import random
 
 import pytest
-from conftest import load_data
+from conftest import load_data, two_sided_ideals_by_filter
 
 from gag import (
     GammaGroupoid,
+    IdealKind,
     TheoremId,
     all_models,
     all_nonempty_subsets,
@@ -20,7 +21,6 @@ from gag import (
     suite_to_json_obj,
 )
 from gag import theorems
-from gag.ideals import is_two_sided_ideal
 from gag.theorems import Counterexample, model_hash
 
 # Left invertive and strong, but not intra-regular; elements 1 and 2
@@ -162,14 +162,21 @@ def test_counterexamples_revalidate_after_json_round_trip():
         assert revalidate_counterexample(GAP3, rebuilt)
 
 
-def test_family_sets_built_once_per_kind(m5):
+def test_family_masks_built_once_per_family(m5):
     # The checks name a family by IdealKind or by its string value; both
-    # spellings share one set, so the paper example holds one per kind
-    # plus "fixed".
+    # spellings share one mask set, so the paper example holds one per
+    # family of the nine-way equivalence, and asking again by either
+    # spelling builds nothing new.
     run_suite(m5)
     ctx = theorems._ctx(m5)
-    keys = [args for fn, args in ctx._memo if fn is theorems._family_set]
-    assert len(keys) == len(set(keys)) == 9
+    built = dict(ctx._masks)
+    assert sorted(built) == sorted(theorems._EQUALIENT)
+    for name, masks in built.items():
+        assert masks == {a.mask for a in ctx.family(name)}
+        spellings = [name] if name == "fixed" else [name, IdealKind(name)]
+        for kind in spellings:
+            assert ctx.masks(kind) is masks
+    assert ctx._masks == built
 
 
 def test_run_check_selection(m5):
@@ -353,17 +360,13 @@ def test_subset_clauses_fire_only_on_candidates(guards_open):
     assert outside > tables
 
 
-def _minimal_by_powerset(g, q):
-    subs = all_nonempty_subsets(g)
-    return is_two_sided_ideal(g, q) and not any(p < q and is_two_sided_ideal(g, p) for p in subs)
-
-
 def test_minimal_ideal_matches_powerset_definition():
     tables = minimal = 0
     for g in _small_tables():
         tables += 1
+        ideals = two_sided_ideals_by_filter(g)
         for q in all_nonempty_subsets(g):
-            want = _minimal_by_powerset(g, q)
+            want = q in ideals and not any(p < q for p in ideals)
             assert theorems._is_minimal_ideal(g, q) == want, (g.table, q.members())
             minimal += want
     # two minimal ideals I, J would meet in I*J, so each table has one
