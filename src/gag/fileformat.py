@@ -154,13 +154,17 @@ def serialize_model(g: GammaGroupoid) -> str:
 
 
 def model_to_json_obj(g: GammaGroupoid) -> dict[str, Any]:
-    labels = g.element_labels
+    n, m, labels = g.n, g.m, g.element_labels
+    rows = list(zip(*[iter(g.table)] * n))  # rows[x * m + k][y] == x *_k y
     return {
         "format": "gag",
         "version": 1,
         "elements": list(labels),
         "gammas": list(g.gamma_labels),
-        "tables": [[[labels[v] for v in row] for row in t] for t in g.tables()],
+        "tables": [
+            [list(map(labels.__getitem__, rows[x * m + k])) for x in range(n)]
+            for k in range(m)
+        ],
     }
 
 

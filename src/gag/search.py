@@ -31,6 +31,13 @@ nothing is deduplicated, so `--limit` keeps the least classes and
 `--time-budget` is honoured at the next leaf.  Every search is this one
 DFS in one process.
 
+The DFS is one loop over a cell index, not a recursion.  Each cell keeps
+the next value to try, the bound past its last value and a mark into a
+single trail.  Every forcing, watch-list push and tie refiling made by
+a value goes on the trail, and backtracking pops the trail to the
+cell's mark, as in MiniSat (Eén & Sörensson, "An Extensible
+SAT-solver", SAT 2003).  A leaf is yielded straight from the loop.
+
 The ground truth this enumerator is held to is the naive oracle in
 `gag.oracles`, which shares nothing with the DFS but `canonicalize` and
 the filter.
@@ -41,11 +48,12 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .fileformat import model_to_json_obj
 from .model import GammaGroupoid
-from .regularity import is_intra_regular
+from .regularity import intra_witness
 from .theorems import FAIL, TheoremId, TheoremReport, run_check, suite_to_json_obj
 
 AXIOM_NAMES = ("left-invertive", "ag-star-star")
@@ -134,30 +142,25 @@ class HuntResult:
 
 # --- canonical forms --------------------------------------------------------
 
-# (n, m) -> one (inv, src) pair per relabeling: the relabeled table is
-# [inv[t[x]] for x in src].  The identity comes first.  Filled lazily,
-# after the size guard.
-_RELABELINGS: dict[tuple[int, int], tuple[tuple[list[int], list[int]], ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def _relabelings(n: int, m: int) -> tuple[tuple[list[int], list[int]], ...]:
-    table = _RELABELINGS.get((n, m))
-    if table is None:
-        pairs = []
-        for p in itertools.permutations(range(n)):  # p[i] = old element at new slot i
-            inv = [0] * n
-            for new, old in enumerate(p):
-                inv[old] = new
-            for q in itertools.permutations(range(m)):
-                src = [
-                    (p[i] * m + q[k]) * n + p[j]
-                    for i in range(n)
-                    for k in range(m)
-                    for j in range(n)
-                ]
-                pairs.append((inv, src))
-        table = _RELABELINGS[n, m] = tuple(pairs)
-    return table
+    """One (inv, src) pair per relabeling: the relabeled table is
+    [inv[t[x]] for x in src].  The identity comes first.  Built on first
+    use, after the size guard."""
+    pairs = []
+    for p in itertools.permutations(range(n)):  # p[i] = old element at new slot i
+        inv = [0] * n
+        for new, old in enumerate(p):
+            inv[old] = new
+        for q in itertools.permutations(range(m)):
+            src = [
+                (p[i] * m + q[k]) * n + p[j]
+                for i in range(n)
+                for k in range(m)
+                for j in range(n)
+            ]
+            pairs.append((inv, src))
+    return tuple(pairs)
 
 
 def canonicalize(g: GammaGroupoid) -> tuple[int, ...]:
@@ -237,75 +240,111 @@ def _dfs_state(n: int, m: int, axioms: Iterable[str]) -> tuple:
     return ([-1] * total, total, n, ready, [[] for _ in range(total)], [-1] * total, ties)
 
 
-def _dfs(state: tuple, cell: int) -> Iterator[tuple[int, ...]]:
-    """Every completion of t[:cell] that satisfies all instances and is
+def _dfs(state: tuple) -> Iterator[tuple[int, ...]]:
+    """Every completion of the table that satisfies all instances and is
     the least table of its class, in ascending lexicographic order, over
     a state from _dfs_state.  Cells set in `forced` before the call stay
     set, and take only their forced value.
+
+    One loop walks a cell index up and down.  Per cell it keeps the next
+    value to try, the bound past its last value (n, or one past a forced
+    value) and a mark: the trail's length when the cell was entered.
+    Every change to the state goes on the one trail as a tagged entry: a
+    cell a forced here is a, a cell a pushed on watch[b] is -1 - b, and a
+    tie refiled under cell w is -1 - total - w.  After a value fails or
+    yields a leaf, and on backing up to a cell, the trail is popped to
+    that cell's mark, so after a full run the state is as it was built,
+    the table aside.
     """
     t, total, n, ready, watch, forced, ties = state
-    if cell == total:
-        yield tuple(t)
-        return
-    v = forced[cell]
-    values: Iterable[int] = range(n) if v < 0 else (v,)
-    insts = ready[cell]
-    waiting = watch[cell]
-    for v in values:
-        t[cell] = v
-        fixed: list[int] = []
-        pushed: list[int] = []
-        refiled: list[int] = []
-        for a in waiting:
-            r = forced[a]
-            if r < 0:
-                forced[a] = v
-                fixed.append(a)
-            elif r != v:
-                break
+    nxt = [0] * total
+    end = [0] * total
+    mark = [0] * total
+    trail: list[int] = []
+    push = trail.append
+    pop = trail.pop
+    last = total - 1
+    cell = 0
+    v = forced[0]
+    nxt[0], end[0] = (0, n) if v < 0 else (v, v + 1)
+    while True:
+        v = nxt[cell]
+        if v == end[cell]:  # every value tried: back up a cell
+            if not cell:
+                return
+            cell -= 1
         else:
-            for i, s, p, j, q in insts:
-                a = t[i] * s + p
-                b = t[j] * s + q
-                if a < b:
-                    a, b = b, a
-                elif a == b:
-                    continue
-                if a <= cell:
-                    if t[a] != t[b]:
-                        break
-                elif b <= cell:
-                    r = forced[a]
-                    if r < 0:
-                        forced[a] = t[b]
-                        fixed.append(a)
-                    elif r != t[b]:
-                        break
-                else:
-                    watch[b].append(a)
-                    pushed.append(b)
+            nxt[cell] = v + 1
+            t[cell] = v
+            for a in watch[cell]:
+                r = forced[a]
+                if r < 0:
+                    forced[a] = v
+                    push(a)
+                elif r != v:
+                    break
             else:
-                for inv, src, k in ties[cell]:
-                    while (u := inv[t[src[k]]]) == (r := t[k]) and (k := k + 1) < total:
-                        w = src[k] if src[k] > k else k
-                        if w > cell:
-                            ties[w].append((inv, src, k))
-                            refiled.append(w)
+                for i, s, p, j, q in ready[cell]:
+                    a = t[i] * s + p
+                    b = t[j] * s + q
+                    if a < b:
+                        a, b = b, a
+                    elif a == b:
+                        continue
+                    if a <= cell:
+                        if t[a] != t[b]:
                             break
-                    if u < r:
-                        break
+                    elif b <= cell:
+                        r = forced[a]
+                        if r < 0:
+                            forced[a] = t[b]
+                            push(a)
+                        elif r != t[b]:
+                            break
+                    else:
+                        watch[b].append(a)
+                        push(-1 - b)
                 else:
-                    yield from _dfs(state, cell + 1)
-        for b in pushed:
-            watch[b].pop()
-        for w in refiled:
-            ties[w].pop()
-        for a in fixed:
-            forced[a] = -1
+                    for inv, src, k in ties[cell]:
+                        while (u := inv[t[src[k]]]) == (r := t[k]) and (k := k + 1) < total:
+                            w = src[k] if src[k] > k else k
+                            if w > cell:
+                                ties[w].append((inv, src, k))
+                                push(-1 - total - w)
+                                break
+                        if u < r:
+                            break
+                    else:
+                        if cell == last:
+                            yield tuple(t)
+                        else:
+                            cell += 1
+                            mark[cell] = len(trail)
+                            v = forced[cell]
+                            if v < 0:
+                                nxt[cell] = 0
+                                end[cell] = n
+                            else:
+                                nxt[cell] = v
+                                end[cell] = v + 1
+                            continue
+        mk = mark[cell]  # undo the value tried here
+        while len(trail) > mk:
+            e = pop()
+            if e >= 0:
+                forced[e] = -1
+            elif e >= -total:
+                watch[-1 - e].pop()
+            else:
+                ties[-1 - total - e].pop()
 
 
 def _passes_filter(g: GammaGroupoid, filt: str) -> bool:
-    return filt == "any" or is_intra_regular(g).holds == (filt == "intra-regular")
+    """Whether g passes the filter; stops at the first element with no
+    intra-regularity witness."""
+    if filt == "any":
+        return True
+    return all(intra_witness(g, a) is not None for a in range(g.n)) == (filt == "intra-regular")
 
 
 def _scan(spec: SearchSpec) -> tuple[list[tuple[int, ...]], bool, float]:
@@ -321,7 +360,7 @@ def _scan(spec: SearchSpec) -> tuple[list[tuple[int, ...]], bool, float]:
     _check_canon_size(spec.n, spec.m)
     t0 = time.monotonic()
     found: list[tuple[int, ...]] = []
-    for done, c in enumerate(_dfs(_dfs_state(spec.n, spec.m, spec.axioms), 0)):
+    for done, c in enumerate(_dfs(_dfs_state(spec.n, spec.m, spec.axioms))):
         if done and spec.time_budget is not None and time.monotonic() - t0 > spec.time_budget:
             return found, True, time.monotonic() - t0
         if spec.filter != "any" and not _passes_filter(GammaGroupoid(spec.n, spec.m, c), spec.filter):

@@ -30,14 +30,14 @@ import enum
 import hashlib
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from . import ideals
 from .fileformat import serialize_model
 from .ideals import IdealKind, ideal_family
 from .model import GammaGroupoid, axiom_profile
-from .regularity import is_intra_regular
+from .regularity import IntraRegularityReport, is_intra_regular
 from .subsets import Subset, closed_subsets, subset_product
 
 PASS = "pass"
@@ -155,7 +155,6 @@ class _Ctx:
         self.g = g
         self.s = Subset.full(g.n)
         self.profile = axiom_profile(g)
-        self.intra = is_intra_regular(g) if self.profile.left_invertive else None
         self._memo: dict[Any, Any] = {}
         self._products: dict[tuple[int, int], Subset] = {}
         self._masks: dict[str, frozenset[int]] = {}
@@ -199,6 +198,13 @@ class _Ctx:
     def has(self, kind, a: Subset) -> bool:
         """a in family(kind), by mask."""
         return a.mask in self.masks(kind)
+
+    @cached_property
+    def intra(self) -> Optional[IntraRegularityReport]:
+        """The model's intra-regularity report, or None when it is not
+        left invertive; worked out on first read, so models that every
+        check skips at the AG** guard never compute it."""
+        return is_intra_regular(self.g) if self.profile.left_invertive else None
 
     def intra_holds(self) -> bool:
         return self.intra is not None and self.intra.holds

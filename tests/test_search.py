@@ -98,7 +98,7 @@ def test_dfs_leaf_sequence_matches_reference(n, m, axioms):
     # the way back up, so afterwards the state is as freshly built, the
     # table aside.
     state = search._dfs_state(n, m, axioms)
-    assert list(search._dfs(state, 0)) == _reference_forms(n, m, axioms)
+    assert list(search._dfs(state)) == _reference_forms(n, m, axioms)
     assert state[1:] == search._dfs_state(n, m, axioms)[1:]
 
 
@@ -122,7 +122,7 @@ def _dfs_leaves(n, m, axioms, prefixes):
     state = search._dfs_state(n, m, axioms)
     out = {}
     for prefix in prefixes:
-        out[prefix] = list(search._dfs(_pinned(state, prefix), 0))
+        out[prefix] = list(search._dfs(_pinned(state, prefix)))
         assert state[1:] == _pinned(search._dfs_state(n, m, axioms), prefix)[1:], prefix
     return out
 
@@ -212,16 +212,16 @@ def test_canonicalize_is_idempotent(g):
     assert canonicalize(g) <= tuple(g.table)
 
 
-def test_canonicalize_size_guard(monkeypatch):
+def test_canonicalize_size_guard():
     # The guard fires before any relabeling table is built.
-    monkeypatch.setattr(search, "_RELABELINGS", {})
+    search._relabelings.cache_clear()
     big = GammaGroupoid(7, 1, (0,) * 49)
     with pytest.raises(SizeGuardError):
         canonicalize(big)
     wide = GammaGroupoid(2, 4, (0,) * 16)
     with pytest.raises(SizeGuardError):
         canonicalize(wide)
-    assert search._RELABELINGS == {}
+    assert search._relabelings.cache_info().currsize == 0
 
 
 def are_isomorphic(g1, g2):
@@ -338,16 +338,14 @@ def test_limit_truncates_only_when_a_class_is_left_out(capsys, n, limit, truncat
 
 
 def _counting_leaves(monkeypatch):
-    # Every leaf the DFS makes, counted as it is made: the recursion
-    # calls the module's _dfs, so each node passes through here, and a
-    # call at cell == total is a leaf.
+    # Every leaf the DFS makes, counted as it is made: each item the
+    # search's one _dfs call yields is a leaf.
     leaves = []
     real = search._dfs
 
-    def counted(state, cell):
-        for flat in real(state, cell):
-            if cell == state[1]:
-                leaves.append(None)
+    def counted(state):
+        for flat in real(state):
+            leaves.append(None)
             yield flat
 
     monkeypatch.setattr(search, "_dfs", counted)

@@ -13,6 +13,7 @@ from gag import (
     TheoremId,
     all_models,
     all_nonempty_subsets,
+    axiom_profile,
     revalidate_counterexample,
     run_check,
     run_suite,
@@ -199,6 +200,31 @@ def test_run_suite_agrees_with_run_check_on_corpus():
         assert reports == [run_check(g, t) for t in TheoremId], row["table"]
         picked = rng.sample(list(TheoremId), rng.randint(1, len(TheoremId)))
         assert run_suite(g, picked) == [r for r in reports if r.theorem in picked]
+
+
+def test_suite_computes_intra_regularity_only_past_the_ag_star_star_guard(monkeypatch):
+    # Every check stops at the AG** guard on a left invertive model that
+    # is not AG**, so the suite never asks whether it is intra-regular;
+    # an AG** model asks once for all its checks.
+    calls = []
+    real = theorems.is_intra_regular
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(theorems, "is_intra_regular", counted)
+    corpus = [GammaGroupoid(row["order"], row["gammas"], tuple(row["table"]))
+              for row in load_data("verify_outputs.json")["models"]]
+    profiles = [(g, axiom_profile(g)) for g in corpus]
+    li_only = next(g for g, p in profiles if p.left_invertive and not p.ag_star_star)
+    agss = next(g for g, p in profiles if p.ag_star_star)
+    for g, expected in ((li_only, 0), (agss, 1)):
+        theorems._ctx.cache_clear()
+        calls.clear()
+        run_suite(g)
+        assert len(calls) == expected, g.table
+    theorems._ctx.cache_clear()
 
 
 def test_report_json_obj_shape(m5):
