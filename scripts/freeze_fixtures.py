@@ -195,6 +195,28 @@ def large_suite() -> dict:
     }
 
 
+# models whose suite run computes more distinct subset products than one
+# model keeps: the join semilattice x.y = x | y (orders a power of two)
+# and the null model x.y = 0
+FAMILY_MODELS = {
+    "join": lambda n: GammaGroupoid(n, 1, tuple(x | y for x in range(n) for y in range(n))),
+    "null": lambda n: GammaGroupoid(n, 1, (0,) * (n * n)),
+}
+FAMILY_ORDERS = (("join", 8), ("join", 16), *(("null", n) for n in range(8, 15)))
+
+
+def family_suite() -> dict:
+    """`gag verify --json` on each FAMILY_MODELS model at FAMILY_ORDERS."""
+    return {
+        "comment": "sha256 of the stdout of `gag verify --json -` and its exit code "
+        "on the join semilattice x.y = x | y and the null model x.y = 0 (one "
+        "operator, default labels)",
+        "models": _digest_rows(({"model": name, "order": n}, VERIFY_JSON,
+                                serialize_model(FAMILY_MODELS[name](n)))
+                               for name, n in FAMILY_ORDERS),
+    }
+
+
 # hunts frozen through the CLI: every check on the order-3 agss classes,
 # the converse-capable ones on the two-operator order-3 agss classes
 HUNT_SPACES = ((3, 1, tuple(t.value for t in TheoremId)), (3, 2, HUNTED))
@@ -306,6 +328,7 @@ FIXTURES = {
     "hunts": ("gap_hunts.json", gap_hunts),
     "guard-open": ("guard_open_suite.json", guard_open_suite),
     "large": ("large_suite.json", large_suite),
+    "families": ("family_suite.json", family_suite),
     "cli": ("cli_outputs.json", cli_outputs),
     "hunt-cli": ("hunt_outputs.json", hunt_outputs),
     "search-cli": ("search_outputs.json", search_outputs),

@@ -378,6 +378,18 @@ def test_verify_large_matches_frozen_fixture(freezer, row):
     assert freezer.cli_digest(["verify", "--json", "-"], text) == (row["exit"], row["sha256"])
 
 
+# the order-16 join semilattice (about 8 s) is checked by its own CI step
+FAMILY_ROWS = [r for r in load_data("family_suite.json")["models"] if r["order"] < 16]
+
+
+@pytest.mark.parametrize("row", FAMILY_ROWS, ids=lambda r: f"{r['model']}{r['order']}")
+def test_verify_families_match_frozen_fixture(freezer, row):
+    # the join semilattice and the null model, whose suite runs compute
+    # more distinct subset products than a model keeps
+    text = serialize_model(freezer.FAMILY_MODELS[row["model"]](row["order"]))
+    assert freezer.cli_digest(["verify", "--json", "-"], text) == (row["exit"], row["sha256"])
+
+
 def test_verify_matches_frozen_corpus(freezer):
     # verify --json on every ag class with n <= 4 (m = 1) and n <= 3
     # (m = 2), byte for byte; the tables come from the fixture, not the
