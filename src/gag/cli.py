@@ -30,13 +30,12 @@ from .fileformat import (
 from .fixtures import PAPER_EXAMPLE_TOKEN, paper_example_text
 from .ideals import IdealKind, generated_ideal, ideal_family
 from .model import (
-    AxiomProfile,
     GammaGroupoid,
+    axiom_profile,
     is_ag_star_star,
     is_left_invertive,
     is_medial,
     is_paramedial,
-    left_identities,
 )
 from .regularity import format_witness, is_intra_regular
 from .search import (
@@ -171,26 +170,33 @@ def _witness_parts(g: GammaGroupoid, law: str, w: tuple[int, ...]) -> dict[str, 
     return parts
 
 
+_DECIDERS = {
+    "left-invertive": is_left_invertive,
+    "medial": is_medial,
+    "ag-star-star": is_ag_star_star,
+    "paramedial": is_paramedial,
+}
+
+
 def cmd_check(args) -> int:
     g = _load_model(args.model)
-    checks = [is_left_invertive(g), is_medial(g), is_ag_star_star(g), is_paramedial(g)]
-    profile = AxiomProfile(*(c.holds for c in checks), tuple(left_identities(g)))
+    profile = axiom_profile(g)
+    verdicts = profile.to_json_obj()
+    # a law's decider runs again only where the law fails, for its witness
+    bad = {law: _witness_parts(g, law, decide(g).witness)
+           for law, decide in _DECIDERS.items() if not verdicts[law]}
     if args.json:
-        obj = {"model": model_to_json_obj(g), "profile": profile.to_json_obj()}
-        bad = {
-            c.law: _witness_parts(g, c.law, c.witness) for c in checks if not c.holds
-        }
+        obj = {"model": model_to_json_obj(g), "profile": verdicts}
         if bad:
             obj["counterexamples"] = bad
         _emit_json(obj)
     else:
         print("elements:", " ".join(g.element_labels))
         print("gammas:", " ".join(g.gamma_labels))
-        for c in checks:
-            line = f"{c.law}: {str(c.holds).lower()}"
-            if not c.holds:
-                parts = _witness_parts(g, c.law, c.witness)
-                line += "  [" + " ".join(f"{k}={v}" for k, v in parts.items()) + "]"
+        for law in _DECIDERS:
+            line = f"{law}: {str(verdicts[law]).lower()}"
+            if law in bad:
+                line += "  [" + " ".join(f"{k}={v}" for k, v in bad[law].items()) + "]"
             print(line)
         ids = [g.element_labels[e] for e in profile.left_identities]
         print("left-identities:", " ".join(ids) if ids else "none")

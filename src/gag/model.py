@@ -73,12 +73,14 @@ class ProductMasks(NamedTuple):
     """Bitmasks of the complexwise products of single elements.
 
     cells[x][y] has bit z set iff z == x *_k y for some operator k;
-    rows[x] is the mask of x*S and cols[y] the mask of S*y.
+    rows[x] is the mask of x*S and cols[y] the mask of S*y.  memo maps a
+    pair of subset masks (A, B) to the mask of A*B; `subsets` fills it.
     """
 
     cells: tuple[tuple[int, ...], ...]
     rows: tuple[int, ...]
     cols: tuple[int, ...]
+    memo: dict[tuple[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -157,8 +159,9 @@ class GammaGroupoid:
 
     @cached_property
     def product_masks(self) -> ProductMasks:
-        """Product masks of the table, built on first use and kept in the
-        instance __dict__, so they never enter ==, hash or repr."""
+        """Product masks of the table and an empty product memo, built on
+        first use and kept in the instance __dict__, so they never enter
+        ==, hash or repr."""
         n, m, t = self.n, self.m, self.table
         cells = []
         for x in range(n):
@@ -170,7 +173,7 @@ class GammaGroupoid:
             cells.append(tuple(row))
         rows = tuple(reduce(or_, row) for row in cells)
         cols = tuple(reduce(or_, (row[y] for row in cells)) for y in range(n))
-        return ProductMasks(tuple(cells), rows, cols)
+        return ProductMasks(tuple(cells), rows, cols, {})
 
     def tables(self) -> list[list[list[int]]]:
         """Nested view: tables()[k][x][y] == x *_k y."""
@@ -393,12 +396,27 @@ class AxiomProfile:
 
 
 def axiom_profile(g: GammaGroupoid) -> AxiomProfile:
-    """Decide all four laws and collect left identities."""
+    """Decide the four laws and collect left identities.  The left
+    invertive and ag-star-star laws are decided first; the medial and
+    paramedial laws are decided only where they do not follow from them.
+
+    Left invertive implies medial:
+      (x a y) b (l c m) = ((l c m) a y) b x = ((y c m) a l) b x
+                        = (x a l) b (y c m),
+    the left invertive law three times.
+
+    Left invertive and ag-star-star imply paramedial:
+      (x a y) b (l c m) = l b ((x a y) c m) = l b ((m a y) c x)
+                        = (m a y) b (l c x) = (m a l) b (y c x),
+    by ag-star-star, left invertive, ag-star-star and medial.
+    """
+    li = holds(g, "left-invertive")
+    agss = holds(g, "ag-star-star")
     return AxiomProfile(
-        left_invertive=holds(g, "left-invertive"),
-        medial=holds(g, "medial"),
-        ag_star_star=holds(g, "ag-star-star"),
-        paramedial=holds(g, "paramedial"),
+        left_invertive=li,
+        medial=li or holds(g, "medial"),
+        ag_star_star=agss,
+        paramedial=(li and agss) or holds(g, "paramedial"),
         left_identities=tuple(left_identities(g)),
     )
 

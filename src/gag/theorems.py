@@ -143,11 +143,6 @@ def _sub(g: GammaGroupoid, ext: Iterable[int]) -> Subset:
     return Subset.from_members(g.n, ext)
 
 
-# products one context keeps, about 0.3 MB; a suite run on an ag class
-# with n <= 4 (m = 1) or n <= 3 (m = 2) computes at most 64
-_MAX_PRODUCTS = 1 << 10
-
-
 class _Ctx:
     """Per-model caches shared by the checks of one suite run."""
 
@@ -156,20 +151,12 @@ class _Ctx:
         self.s = Subset.full(g.n)
         self.profile = axiom_profile(g)
         self._memo: dict[Any, Any] = {}
-        self._products: dict[tuple[int, int], Subset] = {}
         self._masks: dict[str, frozenset[int]] = {}
 
     def prod(self, a: Subset, b: Subset) -> Subset:
-        """A*B, kept for each pair of masks until _MAX_PRODUCTS are kept:
-        the pair sweeps over a large family would otherwise keep one
-        product per pair of members."""
-        key = (a.mask, b.mask)
-        p = self._products.get(key)
-        if p is None:
-            p = subset_product(self.g, a, b)
-            if len(self._products) < _MAX_PRODUCTS:
-                self._products[key] = p
-        return p
+        """A*B, read from the model's product memo (`subsets._MAX_PRODUCTS`
+        bounds it), which the family closures fill as well."""
+        return subset_product(self.g, a, b)
 
     def once(self, fn: Callable[..., Any], *args: Any) -> Any:
         """fn(self, *args), computed at most once per context."""

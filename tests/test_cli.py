@@ -1,6 +1,7 @@
 """Command line driver: exit codes, output formats, determinism."""
 
 import gc
+import hashlib
 import io
 import json
 import os
@@ -15,8 +16,20 @@ from conftest import load_data
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gag import GammaGroupoid, TheoremId, parse_model, parse_models, serialize_model
+from gag import (
+    GammaGroupoid,
+    TheoremId,
+    ideal_family,
+    parse_model,
+    parse_models,
+    run_suite,
+    serialize_model,
+    suite_exit_code,
+    suite_to_json_obj,
+    theorems,
+)
 from gag.cli import _write_json, main
+from gag.subsets import _MAX_PRODUCTS
 from gag.fixtures import PAPER_EXAMPLE_TOKEN
 
 M5 = PAPER_EXAMPLE_TOKEN
@@ -388,6 +401,22 @@ def test_verify_families_match_frozen_fixture(freezer, row):
     # more distinct subset products than a model keeps
     text = serialize_model(freezer.FAMILY_MODELS[row["model"]](row["order"]))
     assert freezer.cli_digest(["verify", "--json", "-"], text) == (row["exit"], row["sha256"])
+
+
+def test_null_model_fills_the_product_memo(freezer):
+    # x.y = 0 on 12 elements asks for more distinct products than a model
+    # keeps; a full memo changes no byte of the output.  The caches are
+    # cleared so that the suite runs on this instance of the model.
+    theorems._ctx.cache_clear()
+    ideal_family.cache_clear()
+    g = freezer.FAMILY_MODELS["null"](12)
+    reports = run_suite(g)
+    assert len(g.product_masks.memo) == _MAX_PRODUCTS
+    out = []
+    _write_json(suite_to_json_obj(g, reports), out)
+    digest = hashlib.sha256(("".join(out) + "\n").encode()).hexdigest()
+    row = next(r for r in FAMILY_ROWS if r["model"] == "null" and r["order"] == 12)
+    assert (suite_exit_code(reports), digest) == (row["exit"], row["sha256"])
 
 
 def test_verify_matches_frozen_corpus(freezer):

@@ -25,6 +25,7 @@ from gag import (
     run_suite,
     serialize_model,
 )
+from gag import model
 from gag.model import holds
 
 # Left projection x*y = x breaks the left invertive law at n >= 2;
@@ -226,6 +227,45 @@ def test_left_invertive_and_ag_star_star_imply_paramedial():
             assert holds(g, "paramedial"), g.table
             checked += g.n >= 3
     assert checked >= 101  # the agss classes at n = 4 alone
+
+
+_LAWS = ("left-invertive", "medial", "ag-star-star", "paramedial")
+
+
+def test_axiom_profile_matches_direct_decisions():
+    # axiom_profile reads medial and paramedial off the lemmas above where
+    # they apply; on every lemma table that agrees with deciding each law.
+    for g in _lemma_tables():
+        p = axiom_profile(g)
+        got = (p.left_invertive, p.medial, p.ag_star_star, p.paramedial)
+        assert got == tuple(holds(g, law) for law in _LAWS), g.table
+
+
+@pytest.mark.parametrize(
+    "g,medial_runs,paramedial_runs",
+    [
+        (GammaGroupoid(3, 1, (0, 0, 0, 0, 0, 0, 1, 0, 0)), 0, 1),
+        (GammaGroupoid(3, 1, (0, 1, 2, 2, 0, 1, 1, 2, 0)), 0, 0),  # y - x mod 3
+        (LEFT_PROJ, 1, 1),
+    ],
+    ids=["li-only", "li-agss", "not-li"],
+)
+def test_axiom_profile_skips_implied_laws(monkeypatch, g, medial_runs, paramedial_runs):
+    # The left invertive and ag-star-star kernels always run; the medial
+    # and paramedial ones only where the lemmas do not decide them.
+    runs = dict.fromkeys(_LAWS, 0)
+
+    def counted(law, kernel):
+        def run(g):
+            runs[law] += 1
+            return kernel(g)
+        return run
+
+    kernels = {law: counted(law, k) for law, k in model._KERNELS.items()}
+    monkeypatch.setattr(model, "_KERNELS", kernels)
+    axiom_profile(g)
+    assert runs == {"left-invertive": 1, "medial": medial_runs,
+                    "ag-star-star": 1, "paramedial": paramedial_runs}
 
 
 def test_from_tables_product_tables_round_trip(m5):

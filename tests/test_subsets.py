@@ -106,8 +106,12 @@ def _operands(n):
 @settings(max_examples=300, deadline=None)
 @given(models(max_n=8, max_m=3), st.data())
 def test_product_matches_brute_force(g, data):
+    # once on a cold memo, then again read from the memo
     a = data.draw(_operands(g.n))
     b = data.draw(_operands(g.n))
+    assert not g.product_masks.memo
+    assert subset_product(g, a, b) == brute_product(g, a, b)
+    assert (a.mask, b.mask) in g.product_masks.memo
     assert subset_product(g, a, b) == brute_product(g, a, b)
 
 
@@ -128,7 +132,9 @@ def test_same_order_models_keep_their_own_products():
 def test_product_masks_stay_out_of_value_semantics():
     g = GammaGroupoid(3, 2, (0, 1, 2, 2, 1, 0) * 3)
     fresh = GammaGroupoid(3, 2, g.table)
-    subset_product(g, _members(3, 0, 2), Subset.full(3))
+    for a, b in iproduct(range(8), repeat=2):
+        subset_product(g, Subset(3, a), Subset(3, b))
+    assert len(g.product_masks.memo) == 64
     assert "product_masks" in vars(g) and "product_masks" not in vars(fresh)
     assert g == fresh and hash(g) == hash(fresh)
     assert repr(g) == repr(fresh)

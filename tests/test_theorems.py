@@ -10,6 +10,7 @@ from conftest import load_data, two_sided_ideals_by_filter
 from gag import (
     GammaGroupoid,
     IdealKind,
+    Subset,
     TheoremId,
     all_models,
     all_nonempty_subsets,
@@ -178,6 +179,19 @@ def test_family_masks_built_once_per_family(m5):
         for kind in spellings:
             assert ctx.masks(kind) is masks
     assert ctx._masks == built
+
+
+def test_context_reads_products_from_the_model_memo():
+    # _Ctx keeps no products of its own: a product it hands out is the
+    # model memo's entry, so a doctored entry comes back as it is.
+    g = GammaGroupoid(3, 1, (0, 0, 0, 0, 0, 2, 0, 1, 0))
+    c = theorems._Ctx(g)
+    a, s = Subset.singleton(3, 1), Subset.full(3)
+    assert c.prod(a, s) == Subset(3, 0b101)
+    memo = g.product_masks.memo
+    assert memo == {(a.mask, s.mask): 0b101}
+    memo[a.mask, s.mask] = 0b010
+    assert c.prod(a, s) == Subset(3, 0b010)
 
 
 def test_run_check_selection(m5):
