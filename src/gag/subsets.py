@@ -10,10 +10,10 @@ use, the mask of {x *_k y : k in Gamma} for every pair (x, y), of x*S
 for every x and of S*y for every y (`GammaGroupoid.product_masks`).  So
 A*S is the OR of the row masks of A's members, S*B the OR of the column
 masks of B's members, and any other A*B one OR per pair of members.
-Each product is computed once per model: the masks carry a memo from
-(A, B) to A*B, which keeps the first _MAX_PRODUCTS pairs asked for.  The
-closures, the predicates and the theorem suite all read it; a suite run
-asks for each product it needs 7 to 15 times on average.
+The masks also carry a memo from (A, B) to A*B, which keeps the first
+_MAX_PRODUCTS pairs asked for, so those products are computed once per
+model.  The closures, the predicates and the theorem suite all read it;
+a suite run asks for each product it needs 7 to 13 times on average.
 
 Ideal-like families are closure systems {A : F(A) <= A}, F a monotone
 map built from products.  `closed_subsets` lists one by Ganter's

@@ -29,8 +29,8 @@ from gag import (
     theorems,
 )
 from gag.cli import _write_json, main
-from gag.subsets import _MAX_PRODUCTS
 from gag.fixtures import PAPER_EXAMPLE_TOKEN
+from gag.subsets import _MAX_PRODUCTS
 
 M5 = PAPER_EXAMPLE_TOKEN
 
